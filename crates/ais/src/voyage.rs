@@ -177,6 +177,9 @@ struct PendingMessage {
     last_touch: u64,
 }
 
+/// One in-flight partial message of a [`PendingFragments`] snapshot.
+pub type PendingEntry = ((u32, u8, char, u8), Vec<Option<(String, u8)>>, u64);
+
 /// Plain-data snapshot of a [`Defragmenter`]'s in-flight partial messages,
 /// produced by [`Defragmenter::export_pending`] for checkpointing.
 ///
@@ -187,7 +190,7 @@ struct PendingMessage {
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct PendingFragments {
     /// The still-incomplete messages, sorted by key.
-    pub messages: Vec<((u32, u8, char, u8), Vec<Option<(String, u8)>>, u64)>,
+    pub messages: Vec<PendingEntry>,
     /// The defragmenter's LRU arrival clock.
     pub clock: u64,
     /// Running count of partial messages abandoned so far.

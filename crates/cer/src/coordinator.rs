@@ -1,20 +1,25 @@
-//! Fleet-scale partition coordination: vessel handoff between longitude
-//! bands, border-zone replication, and whole-fleet checkpoint/restore.
+//! Fleet-scale partition coordination: the one streaming recognizer for
+//! any number of longitude bands, with vessel handoff between bands,
+//! border-zone replication, and whole-fleet checkpoint/restore.
 //!
-//! [`crate::partition::PartitionedRecognizer`] routes each movement event
-//! to the band containing it and silently assumes vessels never cross a
-//! band boundary. The [`CoordinatedRecognizer`] drops that assumption:
+//! [`crate::partition::recognize_partitioned`] (the paper's Figure 11
+//! setup) routes each movement event to the band containing it and
+//! silently assumes vessels never cross a band boundary. The
+//! [`CoordinatedRecognizer`] drops that assumption:
 //!
-//! * **Sticky homes + migration.** Every vessel is *homed* to one band
-//!   (the band of its first event) and its events always reach that
-//!   band's engine. When a vessel's latest position crosses into another
-//!   band, the coordinator migrates it at the next query (a window
-//!   boundary): the vessel's window-retained events are serialized
-//!   through the checkpoint codec ([`maritime_rtec::ckpt`]) — the same
-//!   bytes a cross-process handoff would ship — and replayed into the
-//!   destination engine. Replaying at-or-below an incremental engine's
-//!   cache checkpoint marks it stale, forcing a full recompute whose
-//!   output matches by the incremental-equivalence invariant.
+//! * **One band is the serial engine.** With a single band nothing is
+//!   replicated or migrated, so the coordinator keeps no routing state:
+//!   events go straight to the band engine, a query runs on the calling
+//!   thread, and the checkpoint is the engine's plus a constant header.
+//! * **Sticky homes + migration.** With several bands, every vessel is
+//!   *homed* to one band (the band of its first event) and its events
+//!   always reach that band's engine. When a vessel's latest position
+//!   crosses into another band, the coordinator migrates it at the next
+//!   query (a window boundary): the vessel's window-retained events are
+//!   replayed into the destination engine. Replaying at-or-below an
+//!   incremental engine's cache checkpoint marks it stale, forcing a full
+//!   recompute whose output matches by the incremental-equivalence
+//!   invariant.
 //! * **Border-zone replication.** Each band owns the areas whose
 //!   centroid falls inside it, but its rules fire on events *close to*
 //!   those areas, which may lie across a boundary. Every band therefore
@@ -61,7 +66,7 @@ use crate::extensions::{extension_description, ExtensionReport, Loitering, Rende
 use crate::fluents::Alert;
 use crate::input::{InputEvent, InputKind};
 use crate::knowledge::{Knowledge, SpatialMode, VesselInfo};
-use crate::partition::{merge_band_summaries, GeoPartitioner};
+use crate::partition::GeoPartitioner;
 use crate::recognizer::{MaritimeRecognizer, RecognitionSummary};
 
 static OBS_MIGRATIONS: LazyCounter = LazyCounter::new(names::CER_PARTITION_MIGRATIONS);
@@ -106,6 +111,102 @@ struct VesselState {
     log: Vec<LogEntry>,
 }
 
+/// Cross-band state, present only with more than one band.
+struct Routing {
+    /// Per band: merged longitude intervals within rule reach of its areas.
+    reach: Vec<Vec<(f64, f64)>>,
+    vessels: HashMap<Mmsi, VesselState>,
+    /// Every admitted event's timestamp, once — the distinct working
+    /// memory (per-band sums would count replicated events twice).
+    admitted: SlidingWindow<()>,
+}
+
+impl Routing {
+    /// All bands an event at `lon` must reach because some band's areas
+    /// have rule reach there.
+    fn reach_mask(&self, lon: f64) -> u64 {
+        let mut mask = 0u64;
+        for (b, intervals) in self.reach.iter().enumerate() {
+            if intervals.iter().any(|(lo, hi)| *lo <= lon && lon <= *hi) {
+                mask |= 1 << b;
+            }
+        }
+        mask
+    }
+
+    fn encode(&self, w: &mut Writer) {
+        w.put_len(self.admitted.len());
+        for (t, ()) in self.admitted.iter() {
+            t.encode(w);
+        }
+        let mut mmsis: Vec<Mmsi> = self.vessels.keys().copied().collect();
+        mmsis.sort();
+        w.put_len(mmsis.len());
+        for m in mmsis {
+            let st = &self.vessels[&m];
+            w.put_u32(m.0);
+            w.put_u32(st.home as u32);
+            w.put_f64(st.last_lon);
+            st.last_t.encode(w);
+            w.put_len(st.log.len());
+            for e in &st.log {
+                e.t.encode(w);
+                e.event.encode(w);
+                w.put_u64(e.core_mask);
+                w.put_u64(e.ext_mask);
+            }
+        }
+    }
+
+    fn decode(
+        r: &mut Reader<'_>,
+        bands: usize,
+        spec: WindowSpec,
+        reach: Vec<Vec<(f64, f64)>>,
+    ) -> Result<Self, CkptError> {
+        let na = r.take_len()?;
+        let mut admitted = SlidingWindow::new(spec);
+        for _ in 0..na {
+            admitted.insert(Timestamp::decode(r)?, ());
+        }
+        let nv = r.take_len()?;
+        let mut vessels = HashMap::with_capacity(nv);
+        for _ in 0..nv {
+            let m = Mmsi(r.take_u32()?);
+            let home = r.take_u32()? as usize;
+            if home >= bands {
+                return Err(CkptError::Corrupt("vessel home out of range"));
+            }
+            let last_lon = r.take_f64()?;
+            let last_t = Timestamp::decode(r)?;
+            let nl = r.take_len()?;
+            let mut log = Vec::with_capacity(nl);
+            for _ in 0..nl {
+                log.push(LogEntry {
+                    t: Timestamp::decode(r)?,
+                    event: InputEvent::decode(r)?,
+                    core_mask: r.take_u64()?,
+                    ext_mask: r.take_u64()?,
+                });
+            }
+            let state = VesselState {
+                home,
+                last_lon,
+                last_t,
+                log,
+            };
+            if vessels.insert(m, state).is_some() {
+                return Err(CkptError::Corrupt("duplicate vessel state"));
+            }
+        }
+        Ok(Self {
+            reach,
+            vessels,
+            admitted,
+        })
+    }
+}
+
 /// Extension (loitering/rendezvous) state: one full-area engine per band
 /// plus the global loiter anchors used by pairwise joins.
 struct ExtCoordinator {
@@ -115,23 +216,34 @@ struct ExtCoordinator {
     min_overlap_secs: i64,
 }
 
+impl ExtCoordinator {
+    /// Records a loiter anchor when `e` can initiate loitering.
+    fn note_anchor(&mut self, t: Timestamp, e: &InputEvent) {
+        if matches!(e.kind, InputKind::StopStart | InputKind::SlowMotionStart) {
+            self.anchors
+                .entry(e.mmsi)
+                .or_default()
+                .push((t, e.position));
+        }
+    }
+}
+
 /// A partitioned recognizer that survives vessels crossing band
 /// boundaries and can be checkpointed/restored as a whole (module docs).
 pub struct CoordinatedRecognizer {
     partitioner: GeoPartitioner,
     bands: Vec<MaritimeRecognizer>,
-    /// Per band: merged longitude intervals within rule reach of its areas.
-    reach: Vec<Vec<(f64, f64)>>,
-    vessels: HashMap<Mmsi, VesselState>,
-    /// Every admitted event's timestamp, once — the distinct working
-    /// memory (per-band sums would count replicated events twice).
-    admitted: SlidingWindow<()>,
+    /// `None` at one band, where the band engine alone is exact.
+    routing: Option<Routing>,
     spec: WindowSpec,
     strategy: EvalStrategy,
     close_threshold_m: f64,
     mode: SpatialMode,
     border_strip_deg: f64,
     migrations: u64,
+    /// Whether events have been streamed (or state restored);
+    /// `with_extensions` and `with_border_strip_deg` must run before.
+    streamed: bool,
     /// Static configuration, kept to build extension engines and to keep
     /// restore honest about what it was given.
     vessel_infos: Vec<VesselInfo>,
@@ -194,19 +306,22 @@ impl CoordinatedRecognizer {
                 MaritimeRecognizer::with_strategy(kb, spec, strategy)
             })
             .collect();
-        let reach = band_reach(&routed, close_threshold_m, DEFAULT_BORDER_STRIP_DEG);
+        let routing = (routed.len() > 1).then(|| Routing {
+            reach: band_reach(&routed, close_threshold_m, DEFAULT_BORDER_STRIP_DEG),
+            vessels: HashMap::new(),
+            admitted: SlidingWindow::new(spec),
+        });
         Self {
             partitioner,
             bands,
-            reach,
-            vessels: HashMap::new(),
-            admitted: SlidingWindow::new(spec),
+            routing,
             spec,
             strategy,
             close_threshold_m,
             mode,
             border_strip_deg: DEFAULT_BORDER_STRIP_DEG,
             migrations: 0,
+            streamed: false,
             vessel_infos: vessels.to_vec(),
             areas: areas.to_vec(),
             ext: None,
@@ -223,10 +338,7 @@ impl CoordinatedRecognizer {
     /// If events have already been streamed.
     #[must_use]
     pub fn with_extensions(mut self) -> Self {
-        assert!(
-            self.vessels.is_empty(),
-            "enable extensions before streaming events"
-        );
+        assert!(!self.streamed, "enable extensions before streaming events");
         let engines = (0..self.bands.len())
             .map(|_| {
                 let kb = Knowledge::new(
@@ -257,15 +369,17 @@ impl CoordinatedRecognizer {
     pub fn with_border_strip_deg(mut self, deg: f64) -> Self {
         assert!(deg.is_finite() && deg >= 0.0, "strip must be finite and >= 0");
         assert!(
-            self.vessels.is_empty(),
+            !self.streamed,
             "set the border strip before streaming events"
         );
         self.border_strip_deg = deg;
-        self.reach = band_reach(
-            &self.partitioner.route_areas(&self.areas),
-            self.close_threshold_m,
-            deg,
-        );
+        if let Some(routing) = &mut self.routing {
+            routing.reach = band_reach(
+                &self.partitioner.route_areas(&self.areas),
+                self.close_threshold_m,
+                deg,
+            );
+        }
         self
     }
 
@@ -297,6 +411,19 @@ impl CoordinatedRecognizer {
     #[must_use]
     pub fn border_strip_deg(&self) -> f64 {
         self.border_strip_deg
+    }
+
+    /// Whether `other` has the configuration a checkpoint carries: band
+    /// boundaries, window, evaluation strategy, spatial mode and close
+    /// threshold. A checkpoint restores into a pipeline only when these
+    /// match its own recognizer's.
+    #[must_use]
+    pub fn same_configuration(&self, other: &Self) -> bool {
+        self.partitioner.boundaries() == other.partitioner.boundaries()
+            && self.spec == other.spec
+            && self.strategy == other.strategy
+            && self.mode == other.mode
+            && self.close_threshold_m.to_bits() == other.close_threshold_m.to_bits()
     }
 
     /// How queries have been evaluated so far, summed across bands.
@@ -335,41 +462,37 @@ impl CoordinatedRecognizer {
         chains
     }
 
-    /// All bands an event at `lon` must reach because some band's areas
-    /// have rule reach there.
-    fn reach_mask(&self, lon: f64) -> u64 {
-        let mut mask = 0u64;
-        for (b, intervals) in self.reach.iter().enumerate() {
-            if intervals.iter().any(|(lo, hi)| *lo <= lon && lon <= *hi) {
-                mask |= 1 << b;
-            }
-        }
-        mask
-    }
-
-    fn all_mask(&self) -> u64 {
-        if self.bands.len() == MAX_BANDS {
-            u64::MAX
-        } else {
-            (1u64 << self.bands.len()) - 1
-        }
-    }
-
-    /// Streams events: each is admitted once, logged against its vessel,
-    /// and delivered to its home band, every band whose reach covers it,
+    /// Streams events. With one band they go straight to its engine;
+    /// otherwise each is admitted once, logged against its vessel, and
+    /// delivered to its home band, every band whose reach covers it,
     /// and — for closing events — all bands.
     pub fn add_events(&mut self, events: impl IntoIterator<Item = (Timestamp, InputEvent)>) {
+        self.streamed = true;
+        let Some(routing) = &mut self.routing else {
+            let batch: Vec<_> = events.into_iter().collect();
+            if let Some(ext) = &mut self.ext {
+                for (t, e) in &batch {
+                    ext.note_anchor(*t, e);
+                }
+                ext.engines[0].add_events(batch.iter().cloned());
+            }
+            deliver(&mut self.bands[0], batch);
+            return;
+        };
         let n = self.bands.len();
-        let all = self.all_mask();
-        let has_ext = self.ext.is_some();
+        let all = if n == MAX_BANDS {
+            u64::MAX
+        } else {
+            (1u64 << n) - 1
+        };
         let mut core_batches: Vec<Vec<(Timestamp, InputEvent)>> = vec![Vec::new(); n];
         let mut ext_batches: Vec<Vec<(Timestamp, InputEvent)>> = vec![Vec::new(); n];
         for (t, e) in events {
-            self.admitted.insert(t, ());
+            routing.admitted.insert(t, ());
             let lon = e.position.lon;
-            let reach = self.reach_mask(lon);
+            let reach = routing.reach_mask(lon);
             let home_default = self.partitioner.index_of(lon);
-            let st = self.vessels.entry(e.mmsi).or_insert_with(|| VesselState {
+            let st = routing.vessels.entry(e.mmsi).or_insert_with(|| VesselState {
                 home: home_default,
                 last_lon: lon,
                 last_t: t,
@@ -380,7 +503,7 @@ impl CoordinatedRecognizer {
             } else {
                 (1u64 << st.home) | reach
             };
-            let ext_mask = if has_ext { 1u64 << st.home } else { 0 };
+            let ext_mask = if self.ext.is_some() { 1u64 << st.home } else { 0 };
             if t >= st.last_t {
                 st.last_t = t;
                 st.last_lon = lon;
@@ -391,61 +514,45 @@ impl CoordinatedRecognizer {
                 core_mask,
                 ext_mask,
             });
-            if has_ext && matches!(e.kind, InputKind::StopStart | InputKind::SlowMotionStart) {
-                self.ext
-                    .as_mut()
-                    .expect("ext enabled")
-                    .anchors
-                    .entry(e.mmsi)
-                    .or_default()
-                    .push((t, e.position));
+            if let Some(ext) = &mut self.ext {
+                ext.note_anchor(t, &e);
+                ext_batches[st.home].push((t, e.clone()));
             }
             for (b, batch) in core_batches.iter_mut().enumerate() {
                 if core_mask & (1 << b) != 0 {
                     batch.push((t, e.clone()));
                 }
             }
-            if ext_mask != 0 {
-                ext_batches[ext_mask.trailing_zeros() as usize].push((t, e.clone()));
-            }
         }
-        for (b, batch) in core_batches.into_iter().enumerate() {
+        for (band, batch) in self.bands.iter_mut().zip(core_batches) {
             if !batch.is_empty() {
-                self.deliver_core(b, batch);
+                deliver(band, batch);
             }
         }
-        if let Some(ext) = self.ext.as_mut() {
-            for (b, batch) in ext_batches.into_iter().enumerate() {
+        if let Some(ext) = &mut self.ext {
+            for (engine, batch) in ext.engines.iter_mut().zip(ext_batches) {
                 if !batch.is_empty() {
-                    ext.engines[b].add_events(batch);
+                    engine.add_events(batch);
                 }
             }
         }
     }
 
-    /// Delivers a batch to one band's core engine, attaching band-local
-    /// spatial facts in precomputed mode (the same facts band-local
-    /// recognition would derive on demand).
-    fn deliver_core(&mut self, band: usize, mut batch: Vec<(Timestamp, InputEvent)>) {
-        let recognizer = &mut self.bands[band];
-        if recognizer.knowledge().spatial_mode == SpatialMode::Precomputed {
-            crate::spatial::annotate_with_spatial_facts(&mut batch, recognizer.knowledge());
-        }
-        recognizer.add_events(batch);
-    }
-
     /// Migrates every vessel whose newest position has left its home
-    /// band: the vessel's window-retained events are shipped through the
-    /// checkpoint codec and replayed into the destination band's engines
-    /// (entries already delivered there are skipped). Runs at the start
-    /// of every query, i.e. at window boundaries; idempotent.
+    /// band: the vessel's window-retained events are replayed into the
+    /// destination band's engines (entries already delivered there are
+    /// skipped). Runs at the start of every query, i.e. at window
+    /// boundaries; idempotent. A no-op at one band.
     fn migrate_due(&mut self, q: Timestamp) {
+        let Some(routing) = &mut self.routing else {
+            return;
+        };
         let horizon = q - self.spec.range;
-        let mut mmsis: Vec<Mmsi> = self.vessels.keys().copied().collect();
+        let has_ext = self.ext.is_some();
+        let mut mmsis: Vec<Mmsi> = routing.vessels.keys().copied().collect();
         mmsis.sort();
         for m in mmsis {
-            let has_ext = self.ext.is_some();
-            let st = self.vessels.get_mut(&m).expect("vessel state");
+            let st = routing.vessels.get_mut(&m).expect("vessel state");
             // Events at or before q − ω are outside every engine's window.
             st.log.retain(|e| e.t > horizon);
             let new_home = self.partitioner.index_of(st.last_lon);
@@ -477,14 +584,8 @@ impl CoordinatedRecognizer {
             st.home = new_home;
             self.migrations += 1;
             OBS_MIGRATIONS.inc();
-            // The handoff travels through the checkpoint codec: encoded
-            // at the source band, decoded at the destination — the exact
-            // bytes a cross-process handoff would put on the wire.
-            let handoff = encode_handoff(&core_payload);
-            OBS_CKPT_BYTES.set(handoff.len() as i64);
-            let delivered = decode_handoff(&handoff).expect("self-encoded handoff decodes");
-            if !delivered.is_empty() {
-                self.deliver_core(new_home, delivered);
+            if !core_payload.is_empty() {
+                deliver(&mut self.bands[new_home], core_payload);
             }
             if !ext_payload.is_empty() {
                 if let Some(ext) = self.ext.as_mut() {
@@ -494,28 +595,34 @@ impl CoordinatedRecognizer {
         }
     }
 
-    /// Runs one query on every band concurrently and merges the results
-    /// exactly as the serial recognizer would report them. Vessels due
-    /// for migration are handed off first (window boundary).
+    /// Runs one query on every band and merges the results exactly as the
+    /// serial recognizer would report them. Vessels due for migration are
+    /// handed off first (window boundary). The last band runs on the
+    /// calling thread, the others on scoped threads; one band is simply
+    /// the serial engine's query.
     pub fn recognize_and_summarize(&mut self, q: Timestamp) -> RecognitionSummary {
         self.migrate_due(q);
-        self.admitted.slide_to_discarding(q);
-        let summaries: Vec<RecognitionSummary> = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .bands
+        let Some(routing) = &mut self.routing else {
+            return self.bands[0].recognize_and_summarize(q);
+        };
+        let (last, others) = self.bands.split_last_mut().expect("at least one band");
+        let summaries: Vec<RecognitionSummary> = std::thread::scope(|scope| {
+            let handles: Vec<_> = others
                 .iter_mut()
-                .map(|r| scope.spawn(move |_| r.recognize_and_summarize(q)))
+                .map(|r| scope.spawn(move || r.recognize_and_summarize(q)))
                 .collect();
+            let last = last.recognize_and_summarize(q);
             handles
                 .into_iter()
                 .map(|h| h.join().expect("band thread panicked"))
+                .chain([last])
                 .collect()
-        })
-        .expect("crossbeam scope");
+        });
         let mut merged = merge_band_summaries(q, summaries);
         // Replication feeds one event to several bands; the distinct
         // working memory is the coordinator's own admission window.
-        merged.working_memory = self
+        routing.admitted.slide_to_discarding(q);
+        merged.working_memory = routing
             .admitted
             .contiguous()
             .partition_point(|(t, ())| *t <= q);
@@ -537,22 +644,16 @@ impl CoordinatedRecognizer {
             .ext
             .as_mut()
             .expect("extensions not enabled; call with_extensions()");
-        let recognitions: Vec<_> = ext
-            .engines
-            .iter_mut()
-            .map(|e| e.recognize_at(q))
-            .collect();
-        let mut mmsis: Vec<Mmsi> = self.vessels.keys().copied().collect();
-        mmsis.sort();
         let mut loitering: Vec<(Mmsi, IntervalList)> = Vec::new();
-        for m in mmsis {
-            let home = self.vessels[&m].home;
-            if let Some(il) = recognitions[home].fluents.get(&Loitering(m)) {
-                if !il.is_empty() {
-                    loitering.push((m, il.clone()));
+        for (band, engine) in ext.engines.iter_mut().enumerate() {
+            for (Loitering(m), il) in engine.recognize_at(q).fluents {
+                let home = self.routing.as_ref().map_or(0, |r| r.vessels[&m].home);
+                if home == band && !il.is_empty() {
+                    loitering.push((m, il));
                 }
             }
         }
+        loitering.sort_by_key(|(m, _)| *m);
 
         let mut rendezvous = Vec::new();
         for i in 0..loitering.len() {
@@ -594,8 +695,9 @@ impl CoordinatedRecognizer {
         }
     }
 
-    /// Serializes the whole coordinator — band engines, admission window,
-    /// vessel logs, extension state — into one framed checkpoint.
+    /// Serializes the whole coordinator — band engines, routing state
+    /// (admission window and vessel logs, absent at one band), extension
+    /// state — into one framed checkpoint.
     #[must_use]
     pub fn checkpoint(&self) -> Vec<u8> {
         let _span = maritime_obs::span!(names::CER_CHECKPOINT_WRITE_NS);
@@ -615,26 +717,8 @@ impl CoordinatedRecognizer {
         for band in &self.bands {
             band.checkpoint_into(&mut w);
         }
-        w.put_len(self.admitted.len());
-        for (t, ()) in self.admitted.iter() {
-            t.encode(&mut w);
-        }
-        let mut mmsis: Vec<Mmsi> = self.vessels.keys().copied().collect();
-        mmsis.sort();
-        w.put_len(mmsis.len());
-        for m in mmsis {
-            let st = &self.vessels[&m];
-            w.put_u32(m.0);
-            w.put_u32(st.home as u32);
-            w.put_f64(st.last_lon);
-            st.last_t.encode(&mut w);
-            w.put_len(st.log.len());
-            for e in &st.log {
-                e.t.encode(&mut w);
-                e.event.encode(&mut w);
-                w.put_u64(e.core_mask);
-                w.put_u64(e.ext_mask);
-            }
+        if let Some(routing) = &self.routing {
+            routing.encode(&mut w);
         }
         match &self.ext {
             None => w.put_u8(0),
@@ -700,6 +784,9 @@ impl CoordinatedRecognizer {
 
         let partitioner = GeoPartitioner::from_boundaries(boundaries);
         let n = partitioner.partitions();
+        if n > MAX_BANDS {
+            return Err(CkptError::Corrupt("too many bands"));
+        }
         let routed = partitioner.route_areas(areas);
         if r.take_len()? != n {
             return Err(CkptError::Corrupt("band count mismatch"));
@@ -714,52 +801,12 @@ impl CoordinatedRecognizer {
             );
             bands.push(MaritimeRecognizer::restore_from(kb, &mut r)?);
         }
-
-        let na = r.take_len()?;
-        let mut admitted = SlidingWindow::new(spec);
-        for _ in 0..na {
-            admitted.insert(Timestamp::decode(&mut r)?, ());
-        }
-
-        let nv = r.take_len()?;
-        let mut vessel_states = HashMap::with_capacity(nv);
-        for _ in 0..nv {
-            let m = Mmsi(r.take_u32()?);
-            let home = r.take_u32()? as usize;
-            if home >= n {
-                return Err(CkptError::Corrupt("vessel home out of range"));
-            }
-            let last_lon = r.take_f64()?;
-            let last_t = Timestamp::decode(&mut r)?;
-            let nl = r.take_len()?;
-            let mut log = Vec::with_capacity(nl);
-            for _ in 0..nl {
-                let t = Timestamp::decode(&mut r)?;
-                let event = InputEvent::decode(&mut r)?;
-                let core_mask = r.take_u64()?;
-                let ext_mask = r.take_u64()?;
-                log.push(LogEntry {
-                    t,
-                    event,
-                    core_mask,
-                    ext_mask,
-                });
-            }
-            if vessel_states
-                .insert(
-                    m,
-                    VesselState {
-                        home,
-                        last_lon,
-                        last_t,
-                        log,
-                    },
-                )
-                .is_some()
-            {
-                return Err(CkptError::Corrupt("duplicate vessel state"));
-            }
-        }
+        let routing = if n > 1 {
+            let reach = band_reach(&routed, close_threshold_m, border_strip_deg);
+            Some(Routing::decode(&mut r, n, spec, reach)?)
+        } else {
+            None
+        };
 
         let ext = match r.take_u8()? {
             0 => None,
@@ -803,19 +850,17 @@ impl CoordinatedRecognizer {
         };
         r.finish()?;
 
-        let reach = band_reach(&routed, close_threshold_m, border_strip_deg);
         Ok(Self {
             partitioner,
             bands,
-            reach,
-            vessels: vessel_states,
-            admitted,
+            routing,
             spec,
             strategy,
             close_threshold_m,
             mode,
             border_strip_deg,
             migrations,
+            streamed: true,
             vessel_infos: vessels.to_vec(),
             areas: areas.to_vec(),
             ext,
@@ -864,6 +909,40 @@ impl CoordinatedRecognizer {
         r.finish()?;
         Ok(())
     }
+}
+
+/// Delivers a batch to one band's core engine, attaching band-local
+/// spatial facts in precomputed mode (the same facts band-local
+/// recognition would derive on demand).
+fn deliver(recognizer: &mut MaritimeRecognizer, mut batch: Vec<(Timestamp, InputEvent)>) {
+    if recognizer.knowledge().spatial_mode == SpatialMode::Precomputed {
+        crate::spatial::annotate_with_spatial_facts(&mut batch, recognizer.knowledge());
+    }
+    recognizer.add_events(batch);
+}
+
+/// Merges per-band summaries of one query into a single summary. Bands
+/// own disjoint area sets, so the per-area interval lists never collide;
+/// they are concatenated and sorted by area for determinism.
+fn merge_band_summaries(q: Timestamp, summaries: Vec<RecognitionSummary>) -> RecognitionSummary {
+    let mut merged = RecognitionSummary {
+        query_time: q,
+        suspicious: Vec::new(),
+        illegal_fishing: Vec::new(),
+        alerts: Vec::new(),
+        ce_count: 0,
+        working_memory: 0,
+    };
+    for s in summaries {
+        merged.suspicious.extend(s.suspicious);
+        merged.illegal_fishing.extend(s.illegal_fishing);
+        merged.alerts.extend(s.alerts);
+        merged.ce_count += s.ce_count;
+    }
+    merged.suspicious.sort_by_key(|(area, _)| area.0);
+    merged.illegal_fishing.sort_by_key(|(area, _)| area.0);
+    merged.alerts.sort_by_key(|(t, _)| *t);
+    merged
 }
 
 /// Latest loiter anchor of a vessel at or before `t` (mirrors
@@ -916,33 +995,6 @@ fn band_reach(
             merged
         })
         .collect()
-}
-
-/// Encodes a migration handoff payload (the vessel's window-retained
-/// events) as a framed checkpoint.
-fn encode_handoff(events: &[(Timestamp, InputEvent)]) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.put_len(events.len());
-    for (t, e) in events {
-        t.encode(&mut w);
-        e.encode(&mut w);
-    }
-    w.into_frame()
-}
-
-/// Decodes a migration handoff payload.
-fn decode_handoff(bytes: &[u8]) -> Result<Vec<(Timestamp, InputEvent)>, CkptError> {
-    let payload = unframe(bytes)?;
-    let mut r = Reader::new(payload);
-    let n = r.take_len()?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let t = Timestamp::decode(&mut r)?;
-        let e = InputEvent::decode(&mut r)?;
-        out.push((t, e));
-    }
-    r.finish()?;
-    Ok(out)
 }
 
 fn mode_tag(mode: SpatialMode) -> u8 {
@@ -1033,7 +1085,7 @@ mod tests {
 
     fn serial() -> MaritimeRecognizer {
         MaritimeRecognizer::new(
-            Knowledge::new(vessels(10).into_iter(), areas(), 2_000.0, SpatialMode::OnDemand),
+            Knowledge::new(vessels(10), areas(), 2_000.0, SpatialMode::OnDemand),
             spec(),
         )
     }
@@ -1101,13 +1153,58 @@ mod tests {
     }
 
     #[test]
+    fn one_band_checkpoint_is_the_serial_engine_plus_a_constant_header() {
+        // One band keeps no per-vessel state: the checkpoint's overhead
+        // over the serial engine's must not grow with the fleet.
+        let overhead = |n: u32| {
+            let fleet = vessels(n);
+            let mut coord = CoordinatedRecognizer::new(
+                GeoPartitioner::uniform(1, 20.0, 28.0),
+                &fleet,
+                &areas(),
+                2_000.0,
+                SpatialMode::OnDemand,
+                spec(),
+            );
+            let mut base = MaritimeRecognizer::new(
+                Knowledge::new(fleet, areas(), 2_000.0, SpatialMode::OnDemand),
+                spec(),
+            );
+            let mut events: Vec<_> = (0..n)
+                .flat_map(|i| {
+                    let lon = 20.5 + 7.0 * f64::from(i) / f64::from(n);
+                    let at = i64::from(i);
+                    [
+                        (t(100 + at), ev(100 + i, InputKind::StopStart, lon, 38.1)),
+                        (t(2_000 + at), ev(100 + i, InputKind::StopEnd, lon, 38.1)),
+                    ]
+                })
+                .collect();
+            events.sort_by_key(|(at, _)| *at);
+            coord.add_events(events.clone());
+            base.add_events(events);
+            assert_eq!(
+                coord.recognize_and_summarize(t(3_600)).canonical_json(),
+                base.recognize_and_summarize(t(3_600)).canonical_json()
+            );
+            coord.checkpoint().len() - base.checkpoint().len()
+        };
+        assert_eq!(overhead(1), overhead(100));
+    }
+
+    #[test]
     fn checkpoint_restore_resumes_byte_identically() {
         let events = crossing_events();
         let queries: Vec<Timestamp> = (1..=8).map(|i| t(i * 3_600)).collect();
-        for strategy in [EvalStrategy::FromScratch, EvalStrategy::Incremental] {
+        for (bands, strategy) in [
+            (1, EvalStrategy::FromScratch),
+            (1, EvalStrategy::Incremental),
+            (2, EvalStrategy::FromScratch),
+            (2, EvalStrategy::Incremental),
+        ] {
             let build = || {
                 CoordinatedRecognizer::with_strategy(
-                    GeoPartitioner::uniform(2, 20.0, 28.0),
+                    GeoPartitioner::uniform(bands, 20.0, 28.0),
                     &vessels(10),
                     &areas(),
                     2_000.0,
@@ -1136,7 +1233,7 @@ mod tests {
                 killed.add_events(feed(&mut fed_killed));
                 let a = live.recognize_and_summarize(*q);
                 let b = killed.recognize_and_summarize(*q);
-                assert_eq!(a.canonical_json(), b.canonical_json(), "q={q:?}");
+                assert_eq!(a.canonical_json(), b.canonical_json(), "bands={bands} q={q:?}");
                 let ra = live.recognize_extensions(*q);
                 let rb = killed.recognize_extensions(*q);
                 assert_eq!(ra.loitering, rb.loitering);
@@ -1225,19 +1322,21 @@ mod tests {
 
     #[test]
     fn rendezvous_on_a_band_boundary_is_found() {
-        let mut coord = coordinator(2).with_extensions();
-        // Two vessels meet exactly astride the 24.0 boundary, ~440 m
-        // apart, both offshore (no ports configured).
-        coord.add_events(vec![
-            (t(100), ev(106, InputKind::StopStart, 23.9975, 38.5)),
-            (t(200), ev(107, InputKind::StopStart, 24.0025, 38.5)),
-            (t(4_000), ev(106, InputKind::StopEnd, 23.9975, 38.5)),
-            (t(4_200), ev(107, InputKind::StopEnd, 24.0025, 38.5)),
-        ]);
-        let report = coord.recognize_extensions(t(7_200));
-        assert_eq!(report.loitering.len(), 2);
-        assert_eq!(report.rendezvous.len(), 1, "{:?}", report.rendezvous);
-        assert_eq!(report.rendezvous[0].vessels, (Mmsi(106), Mmsi(107)));
+        for bands in [1, 2] {
+            let mut coord = coordinator(bands).with_extensions();
+            // Two vessels meet exactly astride the 24.0 boundary, ~440 m
+            // apart, both offshore (no ports configured).
+            coord.add_events(vec![
+                (t(100), ev(106, InputKind::StopStart, 23.9975, 38.5)),
+                (t(200), ev(107, InputKind::StopStart, 24.0025, 38.5)),
+                (t(4_000), ev(106, InputKind::StopEnd, 23.9975, 38.5)),
+                (t(4_200), ev(107, InputKind::StopEnd, 24.0025, 38.5)),
+            ]);
+            let report = coord.recognize_extensions(t(7_200));
+            assert_eq!(report.loitering.len(), 2, "bands={bands}");
+            assert_eq!(report.rendezvous.len(), 1, "{:?}", report.rendezvous);
+            assert_eq!(report.rendezvous[0].vessels, (Mmsi(106), Mmsi(107)));
+        }
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub use extensions::{ExtendedRecognizer, ExtensionReport, Rendezvous};
 pub use fluents::{Alert, AlertKind, FluentKey};
 pub use input::{InputEvent, InputKind};
 pub use knowledge::{Knowledge, SpatialMode, VesselInfo};
-pub use partition::{GeoPartitioner, PartitionedRecognizer};
+pub use partition::GeoPartitioner;
 pub use provenance::{alert_id, build_chains, render_proof_tree, visit_input_leaves, CeChain, ChainNode};
 pub use maritime_rtec::{EvalStrategy, IncrementalStats};
 pub use recognizer::{MaritimeRecognizer, RecognitionSummary};

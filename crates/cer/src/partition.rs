@@ -20,10 +20,12 @@
 //! differ from single-recognizer output (the paper's setup shares this
 //! property — MEs are "forwarded to the appropriate processor (according
 //! to vessel location)"). Choose boundaries away from monitored areas to
-//! eliminate the residual effect.
+//! eliminate the residual effect, or stream through
+//! [`crate::coordinator::CoordinatedRecognizer`], which migrates vessels
+//! across boundaries and matches the serial recognizer exactly.
 
 use maritime_geo::Area;
-use maritime_rtec::{EvalStrategy, Timestamp, WindowSpec};
+use maritime_rtec::{Timestamp, WindowSpec};
 
 use crate::input::InputEvent;
 use crate::knowledge::{Knowledge, SpatialMode, VesselInfo};
@@ -220,203 +222,6 @@ pub fn recognize_partitioned(
         .collect()
 }
 
-/// An incremental, geo-partitioned recognizer for online pipelines.
-///
-/// [`recognize_partitioned`] is batch-oriented: it needs the whole event
-/// stream and every query time up front. A streaming pipeline instead
-/// interleaves `add_events` and queries, so this wrapper keeps one
-/// long-lived [`MaritimeRecognizer`] per longitude band, routes each
-/// incoming ME to its band by vessel location, and answers each query by
-/// running all bands on scoped threads and merging their summaries.
-///
-/// Spatial facts: in [`SpatialMode::Precomputed`], `close/3` facts are
-/// attached *after* routing, against the band-local area set — the same
-/// facts band-local recognition would derive on demand.
-pub struct PartitionedRecognizer {
-    partitioner: GeoPartitioner,
-    recognizers: Vec<MaritimeRecognizer>,
-}
-
-impl PartitionedRecognizer {
-    /// Builds one recognizer per band: all vessels are known everywhere
-    /// (static facts are cheap), areas are routed to their band by
-    /// centroid.
-    #[must_use]
-    pub fn new(
-        partitioner: GeoPartitioner,
-        vessels: &[VesselInfo],
-        areas: &[Area],
-        close_threshold_m: f64,
-        mode: SpatialMode,
-        spec: WindowSpec,
-    ) -> Self {
-        Self::with_strategy(
-            partitioner,
-            vessels,
-            areas,
-            close_threshold_m,
-            mode,
-            spec,
-            EvalStrategy::default(),
-        )
-    }
-
-    /// Like [`PartitionedRecognizer::new`], with an explicit per-band
-    /// engine evaluation strategy (checkpointed incremental vs.
-    /// from-scratch per query).
-    #[must_use]
-    pub fn with_strategy(
-        partitioner: GeoPartitioner,
-        vessels: &[VesselInfo],
-        areas: &[Area],
-        close_threshold_m: f64,
-        mode: SpatialMode,
-        spec: WindowSpec,
-        strategy: EvalStrategy,
-    ) -> Self {
-        let recognizers = partitioner
-            .route_areas(areas)
-            .into_iter()
-            .map(|band_areas| {
-                let kb = Knowledge::new(
-                    vessels.iter().copied(),
-                    band_areas,
-                    close_threshold_m,
-                    mode,
-                );
-                MaritimeRecognizer::with_strategy(kb, spec, strategy)
-            })
-            .collect();
-        Self {
-            partitioner,
-            recognizers,
-        }
-    }
-
-    /// Number of bands.
-    #[must_use]
-    pub fn partitions(&self) -> usize {
-        self.recognizers.len()
-    }
-
-    /// The band partitioner.
-    #[must_use]
-    pub fn partitioner(&self) -> &GeoPartitioner {
-        &self.partitioner
-    }
-
-    /// The knowledge base of one band.
-    #[must_use]
-    pub fn knowledge(&self, band: usize) -> &Knowledge {
-        self.recognizers[band].knowledge()
-    }
-
-    /// How queries have been evaluated so far, summed across bands (each
-    /// band engine answers every query, so `incremental + full` is
-    /// `queries × bands`); all zeros under the from-scratch strategy.
-    #[must_use]
-    pub fn incremental_stats(&self) -> maritime_rtec::IncrementalStats {
-        let mut sum = maritime_rtec::IncrementalStats::default();
-        for r in &self.recognizers {
-            let s = r.incremental_stats();
-            sum.incremental += s.incremental;
-            sum.full += s.full;
-            sum.triggers_evaluated += s.triggers_evaluated;
-            sum.triggers_reused += s.triggers_reused;
-        }
-        sum
-    }
-
-    /// Routes events to their bands. In precomputed mode each event gets
-    /// its `close/3` facts from its own band's area set.
-    pub fn add_events(&mut self, events: impl IntoIterator<Item = (Timestamp, InputEvent)>) {
-        let mut routed: Vec<Vec<(Timestamp, InputEvent)>> =
-            vec![Vec::new(); self.recognizers.len()];
-        for (t, e) in events {
-            routed[self.partitioner.index_of(e.position.lon)].push((t, e));
-        }
-        for (band, events) in routed.into_iter().enumerate() {
-            if events.is_empty() {
-                continue;
-            }
-            let recognizer = &mut self.recognizers[band];
-            let mut events = events;
-            if recognizer.knowledge().spatial_mode == SpatialMode::Precomputed {
-                crate::spatial::annotate_with_spatial_facts(&mut events, recognizer.knowledge());
-            }
-            recognizer.add_events(events);
-        }
-    }
-
-    /// Turns per-CE provenance capture on or off in every band. Bands
-    /// own disjoint areas and vessels-in-areas, so the union of per-band
-    /// chains is the partitioned run's full chain set.
-    pub fn set_provenance(&mut self, on: bool) {
-        for r in &mut self.recognizers {
-            r.set_provenance(on);
-        }
-    }
-
-    /// Takes the chains assembled by the most recent traced query,
-    /// merged across bands and sorted by id.
-    pub fn take_chains(&mut self) -> Vec<crate::provenance::CeChain> {
-        let mut chains: Vec<_> = self
-            .recognizers
-            .iter_mut()
-            .flat_map(MaritimeRecognizer::take_chains)
-            .collect();
-        chains.sort_by(|a, b| a.id.cmp(&b.id));
-        chains
-    }
-
-    /// Runs one query on every band concurrently and merges the results
-    /// into a single summary: per-area CE intervals concatenate (bands own
-    /// disjoint areas), alerts interleave into time order, and counts sum.
-    pub fn recognize_and_summarize(&mut self, q: Timestamp) -> RecognitionSummary {
-        let summaries: Vec<RecognitionSummary> = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .recognizers
-                .iter_mut()
-                .map(|r| scope.spawn(move |_| r.recognize_and_summarize(q)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("band thread panicked"))
-                .collect()
-        })
-        .expect("crossbeam scope");
-        merge_band_summaries(q, summaries)
-    }
-}
-
-/// Merges per-band summaries of one query into a single summary. Bands
-/// own disjoint area sets, so the per-area interval lists never collide;
-/// they are concatenated and sorted by area for determinism.
-pub(crate) fn merge_band_summaries(
-    q: Timestamp,
-    summaries: Vec<RecognitionSummary>,
-) -> RecognitionSummary {
-    let mut merged = RecognitionSummary {
-        query_time: q,
-        suspicious: Vec::new(),
-        illegal_fishing: Vec::new(),
-        alerts: Vec::new(),
-        ce_count: 0,
-        working_memory: 0,
-    };
-    for s in summaries {
-        merged.suspicious.extend(s.suspicious);
-        merged.illegal_fishing.extend(s.illegal_fishing);
-        merged.alerts.extend(s.alerts);
-        merged.ce_count += s.ce_count;
-        merged.working_memory += s.working_memory;
-    }
-    merged.suspicious.sort_by_key(|(area, _)| area.0);
-    merged.illegal_fishing.sort_by_key(|(area, _)| area.0);
-    merged.alerts.sort_by_key(|(t, _)| *t);
-    merged
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -501,42 +306,6 @@ mod tests {
         assert_eq!(p.index_of(27.9), 3);
         // Left-closed bands: a boundary longitude belongs to the right band.
         assert_eq!(p.index_of(22.0), 1);
-    }
-
-    #[test]
-    fn incremental_partitioned_recognizer_matches_single() {
-        let spec = WindowSpec::new(Duration::hours(6), Duration::hours(1)).unwrap();
-        let vessels: Vec<VesselInfo> = (0..10)
-            .map(|i| VesselInfo { mmsi: Mmsi(i), draft_m: 5.0, is_fishing: false })
-            .collect();
-        let areas = vec![west_area(), east_area()];
-        let events = [
-            ev(1, InputKind::GapStart, 21.1, 37.1),
-            ev(2, InputKind::GapStart, 26.1, 38.1),
-        ];
-
-        let mut single = MaritimeRecognizer::new(
-            Knowledge::standard(vessels.iter().copied(), areas.clone()),
-            spec,
-        );
-        single.add_events(events.iter().cloned());
-        let s = single.recognize_and_summarize(t(3_600));
-
-        let mut partitioned = PartitionedRecognizer::new(
-            GeoPartitioner::east_west(),
-            &vessels,
-            &areas,
-            2_000.0,
-            SpatialMode::OnDemand,
-            spec,
-        );
-        assert_eq!(partitioned.partitions(), 2);
-        partitioned.add_events(events.iter().cloned());
-        let m = partitioned.recognize_and_summarize(t(3_600));
-        assert_eq!(m.ce_count, s.ce_count);
-        assert_eq!(m.working_memory, s.working_memory);
-        assert_eq!(m.alerts.len(), s.alerts.len());
-        assert_eq!(m.suspicious.len(), s.suspicious.len());
     }
 
     #[test]

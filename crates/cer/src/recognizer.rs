@@ -180,8 +180,8 @@ impl MaritimeRecognizer {
 
     /// Serializes the engine state into a framed checkpoint (see
     /// [`maritime_rtec::ckpt`]). The knowledge base is static
-    /// configuration and is *not* included — [`Self::restore`] takes it
-    /// back as an argument.
+    /// configuration and is *not* included — [`Self::restore_from`]
+    /// takes it back as an argument.
     #[must_use]
     pub fn checkpoint(&self) -> Vec<u8> {
         self.engine.checkpoint()
@@ -193,22 +193,10 @@ impl MaritimeRecognizer {
         self.engine.checkpoint_into(w);
     }
 
-    /// Restores a recognizer from a [`Self::checkpoint`]. `knowledge`
-    /// must be the same static knowledge the checkpointed recognizer was
-    /// built with. Provenance chains and the scratch buffer are per-query
-    /// state and start empty.
-    pub fn restore(
-        knowledge: Knowledge,
-        bytes: &[u8],
-    ) -> Result<Self, maritime_rtec::CkptError> {
-        Ok(Self {
-            engine: Engine::restore(knowledge, maritime_description(), bytes)?,
-            chains: Vec::new(),
-            scratch: Recognition::default(),
-        })
-    }
-
-    /// [`Self::restore`] from an already-unframed payload position.
+    /// Restores a recognizer from a [`Self::checkpoint_into`] payload at
+    /// the reader's position. `knowledge` must be the same static
+    /// knowledge the checkpointed recognizer was built with. Provenance
+    /// chains and the scratch buffer are per-query state and start empty.
     pub fn restore_from(
         knowledge: Knowledge,
         r: &mut maritime_rtec::Reader<'_>,

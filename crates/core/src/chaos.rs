@@ -237,7 +237,7 @@ impl ChaosHarness {
         let mut next_kill = 0usize;
         let mut kill_due = |pipeline: &mut SurveillancePipeline, up_to: Option<i64>| {
             while next_kill < schedule.len()
-                && up_to.map_or(true, |q| schedule[next_kill].0 <= q)
+                && up_to.is_none_or(|q| schedule[next_kill].0 <= q)
             {
                 pipeline
                     .kill_partition(schedule[next_kill].1)

@@ -46,14 +46,14 @@ pub enum TraceMode {
 /// `1` everywhere (the default) reproduces the serial pipeline exactly.
 /// Tracking shards partition the fleet by MMSI hash — equivalent to serial
 /// output up to the interleaving of independent vessels — while
-/// recognition bands partition the monitored region by longitude, which
-/// is exact only for CEs that do not straddle a band boundary (see
-/// `maritime_cer::partition`).
+/// recognition bands partition the monitored region by longitude under
+/// the partition coordinator, which migrates vessels across boundaries
+/// and matches the serial output exactly (see `maritime_cer::coordinator`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Parallelism {
     /// Worker shards for the mobility tracker (1 = in-thread serial).
     pub tracker_shards: usize,
-    /// Longitude bands for CE recognition (1 = single recognizer).
+    /// Longitude bands for CE recognition (1 = the serial engine).
     pub recognition_bands: usize,
 }
 

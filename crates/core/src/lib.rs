@@ -78,7 +78,7 @@ pub mod prelude {
     pub use maritime_cer::{
         render_proof_tree, Alert, AlertKind, CeChain, CoordinatedRecognizer, EvalStrategy,
         GeoPartitioner, IncrementalStats, InputEvent, InputKind, Knowledge, MaritimeRecognizer,
-        PartitionedRecognizer, SpatialMode, VesselInfo,
+        SpatialMode, VesselInfo,
     };
     pub use maritime_geo::aegean::{generate_areas, ports, AreaGenConfig};
     pub use maritime_geo::{Area, AreaId, AreaKind, BoundingBox, GeoPoint, Polygon};

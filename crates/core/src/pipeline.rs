@@ -10,8 +10,7 @@ use std::time::{Duration as StdDuration, Instant};
 
 use maritime_ais::PositionTuple;
 use maritime_cer::{
-    spatial, CeChain, CoordinatedRecognizer, EvalStrategy, GeoPartitioner, InputEvent, Knowledge,
-    MaritimeRecognizer, SpatialMode, VesselInfo,
+    CeChain, CoordinatedRecognizer, EvalStrategy, GeoPartitioner, InputEvent, VesselInfo,
 };
 use maritime_geo::Area;
 use maritime_modstore::{ArchiveStats, StagingArea, TrajectoryStore, TripReconstructor};
@@ -170,64 +169,6 @@ impl TrackerBackend {
     }
 }
 
-/// The recognition backend: a single recognizer, or one per longitude
-/// band running on scoped threads (§5.2's two-processor setup). The
-/// banded case runs under the partition coordinator, which migrates
-/// vessels across band boundaries and replicates border-strip events so
-/// the merged output matches the serial recognizer exactly.
-enum RecognizerBackend {
-    /// Boxed: a recognizer's working memory dwarfs the partitioned
-    /// handle, and the backend lives inside the long-lived pipeline.
-    Single(Box<MaritimeRecognizer>),
-    Partitioned(Box<CoordinatedRecognizer>),
-}
-
-impl RecognizerBackend {
-    /// Feeds a fresh critical-point batch, attaching precomputed spatial
-    /// facts where the knowledge base expects them (band-local facts in
-    /// the partitioned case).
-    fn add_critical(&mut self, fresh: &[CriticalPoint]) {
-        let mut events = InputEvent::from_critical_batch(fresh);
-        match self {
-            Self::Single(r) => {
-                if r.knowledge().spatial_mode == SpatialMode::Precomputed {
-                    spatial::annotate_with_spatial_facts(&mut events, r.knowledge());
-                }
-                r.add_events(events);
-            }
-            Self::Partitioned(p) => p.add_events(events),
-        }
-    }
-
-    fn recognize_and_summarize(&mut self, q: Timestamp) -> maritime_cer::RecognitionSummary {
-        match self {
-            Self::Single(r) => r.recognize_and_summarize(q),
-            Self::Partitioned(p) => p.recognize_and_summarize(q),
-        }
-    }
-
-    fn set_provenance(&mut self, on: bool) {
-        match self {
-            Self::Single(r) => r.set_provenance(on),
-            Self::Partitioned(p) => p.set_provenance(on),
-        }
-    }
-
-    fn take_chains(&mut self) -> Vec<CeChain> {
-        match self {
-            Self::Single(r) => r.take_chains(),
-            Self::Partitioned(p) => p.take_chains(),
-        }
-    }
-
-    fn incremental_stats(&self) -> maritime_rtec::IncrementalStats {
-        match self {
-            Self::Single(r) => r.incremental_stats(),
-            Self::Partitioned(p) => p.incremental_stats(),
-        }
-    }
-}
-
 /// Longitude extent for uniform recognition bands: the monitored areas'
 /// centroid span, padded so border areas do not sit on a band boundary.
 /// Falls back to the full longitude range when there is nothing to span.
@@ -249,7 +190,9 @@ fn band_extent(areas: &[Area]) -> (f64, f64) {
 pub struct SurveillancePipeline {
     config: SurveillanceConfig,
     tracker: TrackerBackend,
-    recognizer: RecognizerBackend,
+    /// One recognizer per longitude band (§5.2's processors); at one band
+    /// it is the serial engine.
+    recognizer: CoordinatedRecognizer,
     staging: StagingArea,
     reconstructor: TripReconstructor,
     store: TrajectoryStore,
@@ -291,31 +234,16 @@ impl SurveillancePipeline {
         } else {
             EvalStrategy::FromScratch
         };
-        let recognizer = if config.parallelism.recognition_bands > 1 {
-            let (lon_min, lon_max) = band_extent(&areas);
-            RecognizerBackend::Partitioned(Box::new(CoordinatedRecognizer::with_strategy(
-                GeoPartitioner::uniform(config.parallelism.recognition_bands, lon_min, lon_max),
-                &vessels,
-                &areas,
-                config.close_threshold_m,
-                config.spatial_mode,
-                config.recognition_window,
-                strategy,
-            )))
-        } else {
-            let knowledge = Knowledge::new(
-                vessels.clone(),
-                areas.clone(),
-                config.close_threshold_m,
-                config.spatial_mode,
-            );
-            RecognizerBackend::Single(Box::new(MaritimeRecognizer::with_strategy(
-                knowledge,
-                config.recognition_window,
-                strategy,
-            )))
-        };
-        let mut recognizer = recognizer;
+        let (lon_min, lon_max) = band_extent(&areas);
+        let mut recognizer = CoordinatedRecognizer::with_strategy(
+            GeoPartitioner::uniform(config.parallelism.recognition_bands, lon_min, lon_max),
+            &vessels,
+            &areas,
+            config.close_threshold_m,
+            config.spatial_mode,
+            config.recognition_window,
+            strategy,
+        );
         let sentences = if config.trace == TraceMode::Full {
             recognizer.set_provenance(true);
             Some(SentenceIndex::new())
@@ -372,78 +300,37 @@ impl SurveillancePipeline {
         self.recognizer.incremental_stats()
     }
 
-    /// Vessels migrated between recognition bands so far; zero when the
-    /// single-recognizer backend is running.
+    /// Vessels migrated between recognition bands so far; always zero
+    /// at one band.
     #[must_use]
     pub fn partition_migrations(&self) -> u64 {
-        match &self.recognizer {
-            RecognizerBackend::Single(_) => 0,
-            RecognizerBackend::Partitioned(p) => p.migrations(),
-        }
+        self.recognizer.migrations()
     }
 
-    /// Serializes the recognition backend — every band engine plus the
-    /// coordinator's vessel/routing state — into one framed checkpoint.
-    /// Static configuration (vessel facts, areas, window geometry) is not
+    /// Serializes the recognizer — every band engine plus, with several
+    /// bands, the coordinator's vessel/routing state — into one framed
+    /// checkpoint. Static configuration (vessel facts, areas) is not
     /// included; [`Self::restore_recognizer`] rebuilds it from the live
     /// pipeline, which must therefore be configured identically.
     #[must_use]
     pub fn checkpoint_recognizer(&self) -> Vec<u8> {
-        let mut w = maritime_rtec::Writer::new();
-        match &self.recognizer {
-            RecognizerBackend::Single(r) => {
-                w.put_u8(0);
-                let bytes = r.checkpoint();
-                w.put_len(bytes.len());
-                w.put_bytes(&bytes);
-            }
-            RecognizerBackend::Partitioned(p) => {
-                w.put_u8(1);
-                let bytes = p.checkpoint();
-                w.put_len(bytes.len());
-                w.put_bytes(&bytes);
-            }
-        }
-        w.into_frame()
+        self.recognizer.checkpoint()
     }
 
-    /// Drops the current recognition backend and replaces it with the
-    /// state captured by [`Self::checkpoint_recognizer`]. Knowledge bases
-    /// are rebuilt from this pipeline's configuration; the checkpoint must
-    /// come from an identically configured pipeline (same band count,
-    /// spatial mode, vessel facts and areas), and a backend-kind mismatch
-    /// is rejected as corruption. Provenance capture is re-armed when the
-    /// pipeline traces.
+    /// Drops the current recognizer and replaces it with the state
+    /// captured by [`Self::checkpoint_recognizer`]. Knowledge bases are
+    /// rebuilt from this pipeline's configuration; a checkpoint whose
+    /// band boundaries, recognition window, evaluation strategy, spatial
+    /// mode or close threshold differ from this pipeline's is rejected as
+    /// corruption and leaves the pipeline untouched. Provenance capture
+    /// is re-armed when the pipeline traces.
     pub fn restore_recognizer(&mut self, bytes: &[u8]) -> Result<(), maritime_rtec::CkptError> {
-        use maritime_rtec::CkptError;
-        let payload = maritime_rtec::ckpt::unframe(bytes)?;
-        let mut r = maritime_rtec::Reader::new(payload);
-        let tag = r.take_u8()?;
-        let n = r.take_len()?;
-        let inner = r.take_bytes(n)?;
-        let restored = match (tag, &self.recognizer) {
-            (0, RecognizerBackend::Single(_)) => {
-                let knowledge = Knowledge::new(
-                    self.vessel_infos.clone(),
-                    self.areas.clone(),
-                    self.config.close_threshold_m,
-                    self.config.spatial_mode,
-                );
-                RecognizerBackend::Single(Box::new(MaritimeRecognizer::restore(
-                    knowledge, inner,
-                )?))
-            }
-            (1, RecognizerBackend::Partitioned(_)) => RecognizerBackend::Partitioned(Box::new(
-                CoordinatedRecognizer::restore(&self.vessel_infos, &self.areas, inner)?,
-            )),
-            (0 | 1, _) => {
-                return Err(CkptError::Corrupt(
-                    "checkpoint backend kind does not match pipeline configuration",
-                ))
-            }
-            _ => return Err(CkptError::Corrupt("unknown recognizer backend tag")),
-        };
-        r.finish()?;
+        let restored = CoordinatedRecognizer::restore(&self.vessel_infos, &self.areas, bytes)?;
+        if !restored.same_configuration(&self.recognizer) {
+            return Err(maritime_rtec::CkptError::Corrupt(
+                "checkpoint configuration does not match the pipeline",
+            ));
+        }
         self.recognizer = restored;
         if self.sentences.is_some() {
             self.recognizer.set_provenance(true);
@@ -454,27 +341,14 @@ impl SurveillancePipeline {
     /// Crash-and-restore one recognition band in place (the chaos
     /// harness's `KillPartition` fault): the band engine round-trips
     /// through the checkpoint codec with no recognition-visible effect.
-    /// On the single-recognizer backend the whole recognizer restarts
-    /// and `band` is ignored; on the partitioned backend `band` is taken
-    /// modulo the band count.
+    /// `band` is taken modulo the band count, so at one band the whole
+    /// engine restarts.
     ///
     /// # Errors
     /// Propagates [`maritime_rtec::CkptError`] if the serialized engine
     /// fails to decode — a checkpoint-format bug, not bad input.
     pub fn kill_partition(&mut self, band: u32) -> Result<(), maritime_rtec::CkptError> {
-        match &mut self.recognizer {
-            RecognizerBackend::Single(r) => {
-                let bytes = r.checkpoint();
-                let knowledge = Knowledge::new(
-                    self.vessel_infos.clone(),
-                    self.areas.clone(),
-                    self.config.close_threshold_m,
-                    self.config.spatial_mode,
-                );
-                **r = MaritimeRecognizer::restore(knowledge, &bytes)?;
-            }
-            RecognizerBackend::Partitioned(p) => p.kill_band(band)?,
-        }
+        self.recognizer.kill_band(band)?;
         if self.sentences.is_some() {
             self.recognizer.set_provenance(true);
         }
@@ -502,7 +376,8 @@ impl SurveillancePipeline {
 
         // Feed fresh critical points to the recognizer (with spatial facts
         // attached when running in precomputed mode).
-        self.recognizer.add_critical(&report.fresh_critical);
+        self.recognizer
+            .add_events(InputEvent::from_critical_batch(&report.fresh_critical));
 
         // Phase 2: staging of evicted deltas.
         let span = SpanTimer::stage("stage", OBS_STAGING_NS.get_ref());
@@ -656,7 +531,8 @@ impl SurveillancePipeline {
         let (final_cps, remaining) = self.tracker.finish();
         timings.tracking = t0.elapsed();
 
-        self.recognizer.add_critical(&final_cps);
+        self.recognizer
+            .add_events(InputEvent::from_critical_batch(&final_cps));
 
         let t1 = Instant::now();
         self.staging.stage_batch(&remaining);
@@ -722,6 +598,7 @@ impl SurveillancePipeline {
 mod tests {
     use super::*;
     use maritime_ais::{FleetConfig, FleetSimulator};
+    use maritime_cer::SpatialMode;
     use maritime_geo::aegean::{generate_areas, AreaGenConfig};
 
     fn run_tiny(seed: u64, mode: SpatialMode) -> (RunReport, usize) {

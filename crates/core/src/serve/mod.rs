@@ -313,6 +313,11 @@ pub fn start(opts: ServeOptions) -> Result<ServerHandle, ServeError> {
         http.as_ref().and_then(|l| l.local_addr().ok()),
     );
 
+    // Seed the ring before any thread starts, so /metrics/history and the
+    // dashboard are never empty, even on a freshly started server.
+    let mut sampler = Sampler::new(opts.slo);
+    sampler.tick(&live, &telemetry, &hub);
+
     // Driver: the single owner of the recognition path.
     {
         let live = Arc::clone(&live);
@@ -320,7 +325,6 @@ pub fn start(opts: ServeOptions) -> Result<ServerHandle, ServeError> {
         let shutdown = Arc::clone(&shutdown);
         let telemetry = Arc::clone(&telemetry);
         let sample_interval = opts.sample_interval;
-        let slo = opts.slo;
         let ckpt = opts
             .checkpoint_dir
             .clone()
@@ -335,8 +339,8 @@ pub fn start(opts: ServeOptions) -> Result<ServerHandle, ServeError> {
                         &hub,
                         &shutdown,
                         &telemetry,
+                        sampler,
                         sample_interval,
-                        slo,
                         ckpt.as_ref(),
                     );
                 })
@@ -443,14 +447,10 @@ fn driver_loop(
     hub: &BroadcastHub,
     shutdown: &AtomicBool,
     telemetry: &ServeTelemetry,
+    mut sampler: Sampler,
     sample_interval: std::time::Duration,
-    slo: SloThresholds,
     ckpt: Option<&(std::path::PathBuf, u64)>,
 ) {
-    let mut sampler = Sampler::new(slo);
-    // Seed the ring immediately so /metrics/history and the dashboard are
-    // never empty, even on a freshly started server.
-    sampler.tick(live, telemetry, hub);
     let mut last_sample = Instant::now();
     let mut last_saved_queries = live.lock().stats().queries;
     loop {

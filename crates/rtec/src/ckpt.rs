@@ -3,8 +3,8 @@
 //! Serializes the incremental engine's between-query state (window
 //! contents, symbol table, per-stratum caches) so a whole engine can be
 //! saved, killed, and restored mid-stream with byte-identical subsequent
-//! output — the substrate for partition kill/restore and vessel handoff
-//! (ROADMAP item 4) and the stepping stone to multi-process scale-out.
+//! output — the substrate for partition kill/restore and the stepping
+//! stone to multi-process scale-out, where vessel handoffs would cross it.
 //!
 //! # Format
 //!

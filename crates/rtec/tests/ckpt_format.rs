@@ -107,7 +107,7 @@ fn run_with_kill(
     let mut fed = 0;
     for (qi, &q) in queries.iter().enumerate() {
         while fed < events.len() && events[fed].0 <= q {
-            live.add_event(events[fed].0, events[fed].1.clone());
+            live.add_event(events[fed].0, events[fed].1);
             fed += 1;
         }
         out.push(live.recognize_at(q));
@@ -141,7 +141,7 @@ fn restored_incremental_engine_still_uses_cache() {
     let events = fixture_events();
     let mut live = engine(EvalStrategy::Incremental);
     for (t, e) in &events {
-        live.add_event(*t, e.clone());
+        live.add_event(*t, *e);
     }
     live.recognize_at(Timestamp(800));
     live.recognize_at(Timestamp(900));

@@ -18,6 +18,7 @@ use maritime_cer::VesselInfo;
 use maritime_chaos::{demo_sentences, StreamLine};
 use maritime_geo::aegean::{generate_areas, AreaGenConfig};
 use maritime_geo::Area;
+use maritime_rtec::CkptError;
 use maritime_stream::{AdmissionBuffer, Duration, SlideBatches, Timestamp, WindowSpec};
 use proptest::prelude::*;
 
@@ -154,10 +155,7 @@ fn small_baseline(incremental: bool) -> &'static Vec<String> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 10,
-        ..ProptestConfig::default()
-    })]
+    #![proptest_config(ProptestConfig { cases: 10 })]
 
     /// Crash-at-arbitrary-slide: a kill at ANY point of a 2-band run,
     /// under either strategy, never changes the wire event sequence.
@@ -168,6 +166,40 @@ proptest! {
         let got = run_events(lines, vessels, 2, incremental, &[kill % n]);
         prop_assert_eq!(&got, small_baseline(incremental), "kill at slide {}", kill % n);
     }
+}
+
+/// A checkpoint carries its recognizer's band boundaries, window,
+/// strategy, spatial mode and close threshold; a pipeline configured
+/// differently must refuse it rather than silently run the checkpoint's
+/// configuration, and the refusal must leave the pipeline untouched.
+#[test]
+fn mismatched_checkpoints_are_rejected_on_restore() {
+    let (lines, vessels) = small_world();
+    let pipeline = |bands: usize, incremental: bool| {
+        SurveillancePipeline::new(&config(bands, incremental), vessels.clone(), areas())
+            .expect("config validates")
+    };
+    let mut source = pipeline(2, true);
+    let batches = slide_batches(lines, &config(2, true));
+    for (q, batch) in &batches[..batches.len() / 2] {
+        source.slide(*q, batch);
+    }
+    let bytes = source.checkpoint_recognizer();
+
+    for (bands, incremental) in [(1, true), (4, true), (2, false)] {
+        let mut other = pipeline(bands, incremental);
+        let before = other.checkpoint_recognizer();
+        assert!(
+            matches!(other.restore_recognizer(&bytes), Err(CkptError::Corrupt(_))),
+            "a 2-band incremental checkpoint restored into bands={bands} \
+             incremental={incremental}"
+        );
+        assert_eq!(other.checkpoint_recognizer(), before, "rejection changed the pipeline");
+    }
+
+    let mut same = pipeline(2, true);
+    same.restore_recognizer(&bytes).expect("own configuration restores");
+    assert_eq!(same.checkpoint_recognizer(), bytes);
 }
 
 fn feed_lines(addr: std::net::SocketAddr, lines: &[StreamLine]) -> TcpStream {

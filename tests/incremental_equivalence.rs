@@ -320,7 +320,7 @@ fn arb_schedule() -> impl Strategy<Value = Vec<Step>> {
 fn run_banded_schedule(bands: usize, steps: &[Step]) -> Result<(), proptest::TestCaseError> {
     let w = WindowSpec::new(Duration::hours(2), Duration::minutes(30)).unwrap();
     let make = |strategy| {
-        PartitionedRecognizer::with_strategy(
+        CoordinatedRecognizer::with_strategy(
             GeoPartitioner::uniform(bands, 20.0, 28.0),
             &vessels(8),
             &areas(),
