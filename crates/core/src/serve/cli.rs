@@ -35,7 +35,12 @@ pub const SERVE_FLAGS: &[FlagSpec] = &[
     flag("--subscribe", Some("PORT"), "CE-out line-JSON TCP port; 'off' disables (default 10111)"),
     flag("--http", Some("PORT"), "HTTP port for /metrics, /sources, /healthz, /events (default 9090)"),
     flag("--queue", Some("N"), "per-subscriber event queue bound before eviction (default 1024)"),
-    flag("--ingest-queue", Some("N"), "raw-line backlog before sources block (default 4096)"),
+    flag(
+        "--ingest-queue",
+        Some("N"),
+        "raw-line backlog before sources block; lines queue in batches of up to 64, \
+         so at most N + 63 wait (default 4096)",
+    ),
     flag("--skew", Some("SECS"), "admission-buffer disorder bound (default 120)"),
     flag("--dedup-secs", Some("SECS"), "cross-source duplicate window; 0 disables (default 10)"),
     flag("--track-window", Some("RANGE,SLIDE"), "tracking window in minutes (default 60,5)"),

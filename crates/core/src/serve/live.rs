@@ -7,8 +7,9 @@
 //! [`SlideBatches`](maritime_stream::SlideBatches) semantics exactly, so
 //! a live run and a batch run over the same sentences produce
 //! byte-identical wire events. The listener layer owns the sockets and
-//! calls [`LiveIngest::push_line`]; the bench's sustained-ingest leg and
-//! the differential tests call it directly.
+//! calls [`LiveIngest::push_lines`] once per socket read; the bench's
+//! sustained-ingest leg and the differential tests call
+//! [`LiveIngest::push_line`] directly.
 //!
 //! # Watermark-driven sliding
 //!
@@ -103,6 +104,10 @@ impl LiveBatcher {
     }
 }
 
+/// One line of a batch handed to [`LiveIngest::push_lines`]: its event
+/// time and the byte range of its sentence in the batch's text.
+pub type LineSpan = (Timestamp, usize, usize);
+
 /// Counters describing what the live ingest path has seen so far.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct IngestStats {
@@ -130,6 +135,9 @@ pub struct LiveIngest {
     /// is wall-clock nanoseconds since `origin`, carried through the
     /// buffer so end-to-end latency can be measured at alert emission.
     admission: AdmissionBuffer<(String, u32, u64)>,
+    /// What admission released and the scanner has yet to see; kept
+    /// across pushes so its capacity is reused.
+    released: Vec<(Timestamp, (String, u32, u64))>,
     scanner: DataScanner,
     batcher: LiveBatcher,
     pipeline: SurveillancePipeline,
@@ -161,6 +169,7 @@ impl LiveIngest {
         Ok(Self {
             mux: SourceMux::new(dedup_window),
             admission: AdmissionBuffer::new(skew),
+            released: Vec::new(),
             scanner: DataScanner::new(),
             batcher: LiveBatcher::new(config.tracking_window, Timestamp::ZERO),
             pipeline,
@@ -177,31 +186,51 @@ impl LiveIngest {
     /// wire events (possibly none) its processing produced. Lines arriving
     /// after a flush are counted but dropped — the stream has ended.
     pub fn push_line(&mut self, source: SourceId, t: Timestamp, line: &str) -> Vec<String> {
-        self.stats.lines += 1;
-        OBS_SENTENCES.inc();
+        self.push_lines(source, line, &[(t, 0, line.len())])
+    }
+
+    /// Feeds a batch of raw lines from `source`, each given as its event
+    /// time and its byte range in `text`, and returns the wire events the
+    /// batch produced. Equivalent to [`LiveIngest::push_line`] on each
+    /// line in turn, except that the whole batch shares one admission
+    /// stamp (the clock is read once per batch).
+    ///
+    /// # Panics
+    /// If a range is out of bounds or not on `char` boundaries of `text`.
+    pub fn push_lines(&mut self, source: SourceId, text: &str, lines: &[LineSpan]) -> Vec<String> {
+        let n = lines.len() as u64;
+        self.stats.lines += n;
+        OBS_SENTENCES.add(n);
         if self.flushed {
-            self.stats.filtered += 1;
-            OBS_FILTERED.inc();
+            self.stats.filtered += n;
+            OBS_FILTERED.add(n);
             return Vec::new();
         }
-        match self.mux.admit(source, t, line) {
-            SourceVerdict::Filtered => {
-                self.stats.filtered += 1;
-                OBS_FILTERED.inc();
-                return Vec::new();
-            }
-            SourceVerdict::Duplicate => {
-                self.stats.duplicates += 1;
-                OBS_DEDUP.inc();
-                return Vec::new();
-            }
-            SourceVerdict::Accepted => {}
-        }
-        self.stats.accepted += 1;
-        self.last_t = self.last_t.max(t);
         let stamp = self.origin.elapsed().as_nanos() as u64;
-        let released = self.admission.push(t, (line.to_string(), source.0, stamp));
-        self.process_released(released)
+        let mut released = std::mem::take(&mut self.released);
+        for &(t, start, end) in lines {
+            let line = &text[start..end];
+            match self.mux.admit(source, t, line) {
+                SourceVerdict::Filtered => {
+                    self.stats.filtered += 1;
+                    OBS_FILTERED.inc();
+                    continue;
+                }
+                SourceVerdict::Duplicate => {
+                    self.stats.duplicates += 1;
+                    OBS_DEDUP.inc();
+                    continue;
+                }
+                SourceVerdict::Accepted => {}
+            }
+            self.stats.accepted += 1;
+            self.last_t = self.last_t.max(t);
+            self.admission
+                .push_into(t, (line.to_string(), source.0, stamp), &mut released);
+        }
+        let events = self.process_released(&mut released);
+        self.released = released;
+        events
     }
 
     /// Drains everything still buffered — admission, defragmenter, the
@@ -214,8 +243,8 @@ impl LiveIngest {
         }
         self.flushed = true;
         OBS_FLUSHES.inc();
-        let released = self.admission.flush();
-        let mut events = self.process_released(released);
+        let mut released = self.admission.flush();
+        let mut events = self.process_released(&mut released);
         self.scanner.finish(self.last_t);
         let mut outcomes: Vec<SlideOutcome> = Vec::new();
         let pipeline = &mut self.pipeline;
@@ -231,9 +260,13 @@ impl LiveIngest {
         events
     }
 
-    fn process_released(&mut self, released: Vec<(Timestamp, (String, u32, u64))>) -> Vec<String> {
+    /// Scans and batches the released tuples, draining `released`.
+    fn process_released(
+        &mut self,
+        released: &mut Vec<(Timestamp, (String, u32, u64))>,
+    ) -> Vec<String> {
         let mut events = Vec::new();
-        for (t, (line, source, stamp)) in released {
+        for (t, (line, source, stamp)) in released.drain(..) {
             let Some(tuple) = self.scanner.scan_from(source, &line, t) else {
                 continue;
             };

@@ -35,7 +35,7 @@ pub mod wire;
 
 pub use health::{HealthEngine, HealthState, ServeTelemetry, SloThresholds, SLO_RULES};
 pub use hub::BroadcastHub;
-pub use live::{IngestStats, LiveBatcher, LiveIngest};
+pub use live::{IngestStats, LineSpan, LiveBatcher, LiveIngest};
 pub use wire::{sse_frame, WireEncoder, CONTROL_FLUSH, CONTROL_SHUTDOWN};
 
 use std::collections::HashMap;
@@ -49,7 +49,7 @@ use std::time::Instant;
 use maritime_cer::VesselInfo;
 use maritime_geo::Area;
 use maritime_obs::{flight, names, Counter, FlightKind, LazyCounter, MetricsRegistry};
-use maritime_stream::Duration;
+use maritime_stream::{Duration, SourceId, Timestamp};
 use parking_lot::Mutex;
 
 use crate::config::{ConfigError, SurveillanceConfig};
@@ -86,7 +86,8 @@ pub struct ServeOptions {
     /// evicted.
     pub queue_bound: usize,
     /// Ingest channel bound — how many raw lines may wait for the driver
-    /// before sources block (backpressure).
+    /// before sources block (backpressure). Lines travel in batches of up
+    /// to 64, so up to `ingest_bound + 63` may be queued.
     pub ingest_bound: usize,
     /// How often the driver samples the metric registry into the
     /// telemetry ring (and evaluates the SLO health rules).
@@ -133,17 +134,24 @@ impl Default for ServeOptions {
 /// `--checkpoint-dir`.
 pub const CHECKPOINT_FILE: &str = "serve.ckpt";
 
+/// Most lines one [`Ingest::Lines`] message carries. A reader forwards
+/// each socket read as one message (split here and at control lines), so
+/// the driver pays one channel receive, one lock and one admission clock
+/// read per batch rather than per line.
+pub(crate) const BATCH_LINES: usize = 64;
+
 /// One message from a listener thread to the driver.
 #[derive(Debug)]
 pub(crate) enum Ingest {
-    /// A raw line from a source, stamped with its event time.
-    Line {
-        /// Source that delivered the line.
+    /// Up to [`BATCH_LINES`] consecutive lines from one source, in arrival
+    /// order.
+    Lines {
+        /// Source that delivered the lines.
         source: u32,
-        /// Event time, seconds.
-        t: i64,
-        /// The sentence (framing already stripped).
-        line: String,
+        /// The sentences (framing already stripped), back to back.
+        text: String,
+        /// Per line: event time and the sentence's byte range in `text`.
+        lines: Vec<LineSpan>,
     },
     /// `#flush`: end of stream — drain and run the final recognition.
     Flush,
@@ -151,8 +159,16 @@ pub(crate) enum Ingest {
     Shutdown,
 }
 
+/// The bounded listener → driver channel. It holds batches, so it is
+/// sized in batches: at least `ingest_bound` lines fit before sources
+/// block, and at most `ingest_bound + BATCH_LINES − 1` are ever queued.
+fn ingest_channel(ingest_bound: usize) -> (SyncSender<Ingest>, Receiver<Ingest>) {
+    std::sync::mpsc::sync_channel(ingest_bound.div_ceil(BATCH_LINES).max(1))
+}
+
 /// Sends one ingest message, counting (and then riding out) backpressure
-/// when the driver is behind. Returns `false` when the driver is gone.
+/// when the driver is behind: a blocked send is one stall, however many
+/// lines the message carries. Returns `false` when the driver is gone.
 pub(crate) fn send_ingest(tx: &SyncSender<Ingest>, msg: Ingest) -> bool {
     match tx.try_send(msg) {
         Ok(()) => true,
@@ -233,10 +249,10 @@ impl ServerHandle {
     pub fn inject(&self, source: u32, t: i64, line: &str) -> bool {
         send_ingest(
             &self.ingest_tx,
-            Ingest::Line {
+            Ingest::Lines {
                 source,
-                t,
-                line: line.to_string(),
+                text: line.to_string(),
+                lines: vec![(Timestamp(t), 0, line.len())],
             },
         )
     }
@@ -284,7 +300,7 @@ pub fn start(opts: ServeOptions) -> Result<ServerHandle, ServeError> {
     let telemetry = Arc::new(ServeTelemetry::new(opts.history_capacity));
     let shutdown = Arc::new(AtomicBool::new(false));
     let next_source = Arc::new(AtomicU32::new(1));
-    let (ingest_tx, ingest_rx) = std::sync::mpsc::sync_channel(opts.ingest_bound.max(1));
+    let (ingest_tx, ingest_rx) = ingest_channel(opts.ingest_bound);
 
     let mut threads = Vec::new();
     let mut bind_tcp = |port: u16| -> Result<TcpListener, ServeError> {
@@ -458,35 +474,36 @@ fn driver_loop(
             break;
         }
         match rx.recv_timeout(std::time::Duration::from_millis(50)) {
-            Ok(Ingest::Line { source, t, line }) => {
-                let events = live.lock().push_line(
-                    maritime_stream::SourceId(source),
-                    maritime_stream::Timestamp(t),
-                    &line,
-                );
+            Ok(msg) => {
+                // One lock per message covers the batch and the query
+                // count the checkpoint trigger reads.
+                let mut guard = live.lock();
+                let events = match msg {
+                    Ingest::Lines {
+                        source,
+                        text,
+                        lines,
+                    } => guard.push_lines(SourceId(source), &text, &lines),
+                    Ingest::Flush => guard.flush(),
+                    Ingest::Shutdown => {
+                        shutdown.store(true, Ordering::SeqCst);
+                        break;
+                    }
+                };
+                let queries = guard.stats().queries;
+                drop(guard);
                 for event in &events {
                     hub.broadcast(event);
                 }
-            }
-            Ok(Ingest::Flush) => {
-                let events = live.lock().flush();
-                for event in &events {
-                    hub.broadcast(event);
+                if let Some((dir, every)) = ckpt {
+                    if queries.saturating_sub(last_saved_queries) >= *every {
+                        write_checkpoint(dir, live);
+                        last_saved_queries = queries;
+                    }
                 }
-            }
-            Ok(Ingest::Shutdown) => {
-                shutdown.store(true, Ordering::SeqCst);
-                break;
             }
             Err(RecvTimeoutError::Timeout) => {}
             Err(RecvTimeoutError::Disconnected) => break,
-        }
-        if let Some((dir, every)) = ckpt {
-            let queries = live.lock().stats().queries;
-            if queries.saturating_sub(last_saved_queries) >= *every {
-                write_checkpoint(dir, live);
-                last_saved_queries = queries;
-            }
         }
         if last_sample.elapsed() >= sample_interval {
             sampler.tick(live, telemetry, hub);
@@ -608,6 +625,35 @@ impl Sampler {
                 });
             }
             entry.was_active = line_delta > 0;
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `--ingest-queue` counts lines: full batches are accepted until at
+    /// least `bound` lines wait, and never more than one batch beyond it.
+    #[test]
+    fn ingest_queue_bounds_waiting_lines() {
+        for bound in [1, 63, 64, 65, 100, 4096] {
+            let (tx, _rx) = ingest_channel(bound);
+            let mut waiting = 0;
+            while tx
+                .try_send(Ingest::Lines {
+                    source: 1,
+                    text: String::new(),
+                    lines: vec![(Timestamp(0), 0, 0); BATCH_LINES],
+                })
+                .is_ok()
+            {
+                waiting += BATCH_LINES;
+            }
+            assert!(
+                (bound..bound + BATCH_LINES).contains(&waiting),
+                "--ingest-queue {bound}: {waiting} lines wait"
+            );
         }
     }
 }

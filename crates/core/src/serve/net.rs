@@ -18,13 +18,14 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use maritime_obs::{names, LazyCounter, LazyGauge};
+use maritime_stream::Timestamp;
 use parking_lot::Mutex;
 
 use super::health::ServeTelemetry;
 use super::hub::BroadcastHub;
-use super::live::LiveIngest;
+use super::live::{LineSpan, LiveIngest};
 use super::wire::{sse_frame, CONTROL_FLUSH, CONTROL_SHUTDOWN};
-use super::{dashboard, send_ingest, Ingest};
+use super::{dashboard, send_ingest, Ingest, BATCH_LINES};
 
 static OBS_SOURCES_CONNECTED: LazyGauge = LazyGauge::new(names::SERVE_SOURCES_CONNECTED);
 static OBS_SOURCES: LazyCounter = LazyCounter::new(names::SERVE_SOURCES);
@@ -64,10 +65,10 @@ pub(crate) fn tcp_ingest_loop(
     }
 }
 
-/// Reads one NMEA-in connection to EOF (or shutdown), framing lines and
-/// forwarding them to the driver. A partial line left when the peer
-/// disconnects — the mid-sentence cut — is discarded and counted as
-/// filtered, never forwarded.
+/// Reads one NMEA-in connection to EOF (or shutdown), forwarding its
+/// lines to the driver. A partial line left when the peer disconnects —
+/// the mid-sentence cut — is discarded and counted as filtered, never
+/// forwarded.
 fn ingest_reader(
     stream: &TcpStream,
     source: u32,
@@ -75,20 +76,36 @@ fn ingest_reader(
     shutdown: &AtomicBool,
 ) {
     let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
+    if read_lines(stream, source, tx, shutdown) {
+        // Mid-sentence disconnect: the unterminated tail is not a
+        // sentence. Count it so the operator sees flaky feeds.
+        OBS_FILTERED.inc();
+    }
+}
+
+/// The read loop of [`ingest_reader`]: frames `reader`'s bytes into lines
+/// and forwards each read's complete lines (see [`forward_lines`]) until
+/// EOF, a read error, shutdown, or the driver going away. Returns whether the connection
+/// ended (EOF or error) with an unterminated tail.
+fn read_lines(
+    mut reader: impl Read,
+    source: u32,
+    tx: &SyncSender<Ingest>,
+    shutdown: &AtomicBool,
+) -> bool {
     let started = Instant::now();
     let mut pending: Vec<u8> = Vec::new();
     let mut buf = [0u8; 4096];
-    let mut reader = stream;
     loop {
         if shutdown.load(Ordering::SeqCst) {
-            return;
+            return false;
         }
         match reader.read(&mut buf) {
             Ok(0) => break, // EOF
             Ok(n) => {
                 pending.extend_from_slice(&buf[..n]);
                 if !drain_lines(&mut pending, source, &started, tx) {
-                    return; // driver gone
+                    return false; // driver gone
                 }
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
@@ -96,48 +113,110 @@ fn ingest_reader(
             Err(_) => break, // reset mid-stream: same as a cut
         }
     }
-    if !pending.is_empty() {
-        // Mid-sentence disconnect: the unterminated tail is not a
-        // sentence. Count it so the operator sees flaky feeds.
-        OBS_FILTERED.inc();
-    }
+    !pending.is_empty()
 }
 
-/// Splits complete lines out of `pending` and forwards each. Returns
-/// `false` when the driver has gone away.
+/// Forwards the complete lines in `pending` and removes them, leaving an
+/// unterminated tail for the next read. Returns `false` when the driver
+/// has gone away.
 fn drain_lines(
     pending: &mut Vec<u8>,
     source: u32,
     started: &Instant,
     tx: &SyncSender<Ingest>,
 ) -> bool {
-    while let Some(nl) = pending.iter().position(|&b| b == b'\n') {
-        let raw: Vec<u8> = pending.drain(..=nl).collect();
-        let line = String::from_utf8_lossy(&raw[..nl]);
-        let line = line.trim_end_matches('\r').trim();
-        if line.is_empty() {
-            continue;
-        }
-        let Some(msg) = frame_line(line, source, started) else {
-            continue;
-        };
-        if !send_ingest(tx, msg) {
-            return false;
-        }
-    }
-    true
+    let Some(last_nl) = pending.iter().rposition(|&b| b == b'\n') else {
+        return true;
+    };
+    let sent = forward_lines(&pending[..last_nl], source, started, tx);
+    pending.drain(..=last_nl);
+    sent
 }
 
-/// Parses one framed line into an ingest message: `#flush`/`#shutdown`
-/// controls, `<epoch-secs> <sentence>` timestamped lines, or a bare
-/// sentence stamped with the connection's wall-clock age (documented in
-/// `SERVING.md`; deterministic feeds always send explicit timestamps).
-fn frame_line(line: &str, source: u32, started: &Instant) -> Option<Ingest> {
+/// Frames each `\n`-separated line of `bytes` and forwards the sentences
+/// as [`Ingest::Lines`] batches of at most [`BATCH_LINES`]. A control line
+/// ends the batch before it, so its order relative to the lines around it
+/// is kept. Returns `false` when the driver has gone away.
+fn forward_lines(bytes: &[u8], source: u32, started: &Instant, tx: &SyncSender<Ingest>) -> bool {
+    let mut batch = LineBatch {
+        source,
+        text: String::new(),
+        lines: Vec::new(),
+    };
+    for raw in bytes.split(|&b| b == b'\n') {
+        let line = String::from_utf8_lossy(raw);
+        match frame_line(line.trim(), started) {
+            Framed::Sentence(t, sentence) => {
+                batch.push(t, sentence);
+                if batch.lines.len() == BATCH_LINES && !batch.send(tx) {
+                    return false;
+                }
+            }
+            Framed::Control(msg) => {
+                if !batch.send(tx) || !send_ingest(tx, msg) {
+                    return false;
+                }
+            }
+            Framed::Skip => {}
+        }
+    }
+    batch.send(tx)
+}
+
+/// The sentences collected for one [`Ingest::Lines`] message.
+struct LineBatch {
+    source: u32,
+    text: String,
+    lines: Vec<LineSpan>,
+}
+
+impl LineBatch {
+    fn push(&mut self, t: Timestamp, sentence: &str) {
+        let start = self.text.len();
+        self.text.push_str(sentence);
+        self.lines.push((t, start, self.text.len()));
+    }
+
+    /// Sends the collected sentences, if any, as one message and starts
+    /// an empty batch. Returns `false` when the driver has gone away.
+    fn send(&mut self, tx: &SyncSender<Ingest>) -> bool {
+        if self.lines.is_empty() {
+            return true;
+        }
+        send_ingest(
+            tx,
+            Ingest::Lines {
+                source: self.source,
+                text: std::mem::take(&mut self.text),
+                lines: std::mem::take(&mut self.lines),
+            },
+        )
+    }
+}
+
+/// What one framed line asks of the driver.
+enum Framed<'a> {
+    /// A sentence and its event time.
+    Sentence(Timestamp, &'a str),
+    /// `#flush` or `#shutdown`.
+    Control(Ingest),
+    /// A blank line, or an unknown `#` control (a comment).
+    Skip,
+}
+
+/// Parses one trimmed line: `#flush`/`#shutdown` controls,
+/// `<epoch-secs> <sentence>` timestamped lines, or a bare sentence stamped
+/// with the connection's wall-clock age (documented in `SERVING.md`;
+/// deterministic feeds always send explicit timestamps).
+fn frame_line<'a>(line: &'a str, started: &Instant) -> Framed<'a> {
+    if line.is_empty() {
+        return Framed::Skip;
+    }
     if let Some(control) = line.strip_prefix('#') {
         return match format!("#{}", control.trim()).as_str() {
-            CONTROL_FLUSH => Some(Ingest::Flush),
-            CONTROL_SHUTDOWN => Some(Ingest::Shutdown),
-            _ => None, // unknown controls are comments
+            CONTROL_FLUSH => Framed::Control(Ingest::Flush),
+            CONTROL_SHUTDOWN => Framed::Control(Ingest::Shutdown),
+            _ => Framed::Skip,
         };
     }
     let (t, sentence) = match line.split_once(' ') {
@@ -147,16 +226,14 @@ fn frame_line(line: &str, source: u32, started: &Instant) -> Option<Ingest> {
         },
         None => (started.elapsed().as_secs() as i64, line),
     };
-    Some(Ingest::Line {
-        source,
-        t,
-        line: sentence.to_string(),
-    })
+    Framed::Sentence(Timestamp(t), sentence)
 }
 
 /// Drains NMEA-in UDP datagrams. Each distinct peer address is a source;
 /// datagrams carry one or more complete lines (no cross-datagram
-/// fragments — UDP preserves message boundaries).
+/// fragments — UDP preserves message boundaries), forwarded like the
+/// lines of one TCP read. Returns when the driver goes away, like the TCP
+/// reader.
 pub(crate) fn udp_ingest_loop(
     socket: &UdpSocket,
     tx: &SyncSender<Ingest>,
@@ -174,18 +251,8 @@ pub(crate) fn udp_ingest_loop(
                     OBS_SOURCES_CONNECTED.add(1);
                     next_source.fetch_add(1, Ordering::Relaxed)
                 });
-                let text = String::from_utf8_lossy(&buf[..n]);
-                for line in text.lines() {
-                    let line = line.trim_end_matches('\r').trim();
-                    if line.is_empty() {
-                        continue;
-                    }
-                    let Some(msg) = frame_line(line, source, &started) else {
-                        continue;
-                    };
-                    if !send_ingest(tx, msg) {
-                        break;
-                    }
+                if !forward_lines(&buf[..n], source, &started, tx) {
+                    break; // driver gone
                 }
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
@@ -375,4 +442,157 @@ fn sources_json(live: &Mutex<LiveIngest>) -> String {
         })
         .collect();
     format!("[{}]\n", rows.join(","))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc::{sync_channel, Receiver};
+
+    /// A sentence's event time and text, as the driver receives it.
+    type Line = (i64, String);
+
+    fn sentence(i: usize) -> String {
+        format!("!AIVDM,1,1,,A,13aEOK?P00PD2wVMdLDRhg{i:04}289?,0*26")
+    }
+
+    /// Everything the reader has sent so far: each batch as its lines,
+    /// `None` for `#flush`.
+    fn received(rx: &Receiver<Ingest>) -> Vec<Option<Vec<Line>>> {
+        rx.try_iter()
+            .map(|msg| match msg {
+                Ingest::Lines {
+                    source,
+                    text,
+                    lines,
+                } => {
+                    assert_eq!(source, 7);
+                    Some(
+                        lines
+                            .iter()
+                            .map(|&(t, start, end)| (t.as_secs(), text[start..end].to_string()))
+                            .collect(),
+                    )
+                }
+                Ingest::Flush => None,
+                Ingest::Shutdown => panic!("no #shutdown was sent"),
+            })
+            .collect()
+    }
+
+    /// One read buffer exercising every framing rule: `\r\n` endings, a
+    /// bare sentence, an unknown control, blank lines, a `#flush` between
+    /// two runs of lines, more lines than one batch holds, and an
+    /// unterminated tail. Returns the bytes and the lines expected before
+    /// and after the `#flush`.
+    fn read_buffer(first: usize, second: usize) -> (Vec<u8>, Vec<Line>, Vec<Line>) {
+        let mut buf = String::new();
+        let mut before = Vec::new();
+        for i in 0..first {
+            buf.push_str(&format!("{} {}\r\n", 1_000 + i, sentence(i)));
+            before.push((1_000 + i as i64, sentence(i)));
+            if i == 10 {
+                buf.push_str("#hello operator\r\n\r\n");
+                // Bare sentence: stamped with the connection's age, 0 s.
+                buf.push_str(&format!("{}\r\n", sentence(9_999)));
+                before.push((0, sentence(9_999)));
+            }
+        }
+        buf.push_str("#flush\r\n");
+        let mut after = Vec::new();
+        for i in 0..second {
+            buf.push_str(&format!("{} {}\r\n", 2_000 + i, sentence(i)));
+            after.push((2_000 + i as i64, sentence(i)));
+        }
+        buf.push_str("\n\n   \r\n3000 !AIVDM,1,1,,A,13aEOK?P00PD2");
+        (buf.into_bytes(), before, after)
+    }
+
+    #[test]
+    fn one_read_is_forwarded_as_bounded_batches_in_order() {
+        let (bytes, before, after) = read_buffer(2 * BATCH_LINES + 3, 5);
+        let (tx, rx) = sync_channel(1024);
+        let mut pending = bytes.clone();
+        assert!(drain_lines(&mut pending, 7, &Instant::now(), &tx));
+        let messages = received(&rx);
+
+        let flushes: Vec<usize> = (0..messages.len())
+            .filter(|&i| messages[i].is_none())
+            .collect();
+        assert_eq!(
+            flushes,
+            [3],
+            "one #flush, after the {} lines before it",
+            before.len()
+        );
+        for lines in messages.iter().flatten() {
+            assert!(
+                (1..=BATCH_LINES).contains(&lines.len()),
+                "{} lines",
+                lines.len()
+            );
+        }
+        let flatten = |ms: &[Option<Vec<Line>>]| -> Vec<Line> {
+            ms.iter().flatten().flatten().cloned().collect()
+        };
+        assert_eq!(flatten(&messages[..3]), before, "lines before #flush");
+        assert_eq!(flatten(&messages[4..]), after, "lines after #flush");
+
+        assert_eq!(
+            pending, b"3000 !AIVDM,1,1,,A,13aEOK?P00PD2",
+            "the tail waits for the next read"
+        );
+    }
+
+    #[test]
+    fn a_tail_left_at_close_is_reported_as_cut() {
+        let (bytes, before, after) = read_buffer(2 * BATCH_LINES, 3);
+        let (tx, rx) = sync_channel(1024);
+        let shutdown = AtomicBool::new(false);
+        // `&[u8]` hands the buffer over in 4096-byte reads, so lines also
+        // straddle reads here.
+        assert!(bytes.len() > 4096);
+        assert!(
+            read_lines(&bytes[..], 7, &tx, &shutdown),
+            "the cut tail is counted"
+        );
+        let lines: Vec<Line> = received(&rx).into_iter().flatten().flatten().collect();
+        assert_eq!(lines, [before, after].concat());
+
+        let whole = b"1 !AIVDM,x\n2 !AIVDM,y\r\n";
+        assert!(
+            !read_lines(&whole[..], 7, &tx, &shutdown),
+            "no tail, nothing cut"
+        );
+    }
+
+    #[test]
+    fn udp_reader_exits_when_the_driver_is_gone() {
+        let socket = UdpSocket::bind("127.0.0.1:0").unwrap();
+        socket
+            .set_read_timeout(Some(std::time::Duration::from_millis(20)))
+            .unwrap();
+        let addr = socket.local_addr().unwrap();
+        let (tx, rx) = sync_channel(1);
+        drop(rx);
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let next_source = Arc::new(AtomicU32::new(1));
+        let reader = {
+            let shutdown = Arc::clone(&shutdown);
+            std::thread::spawn(move || udp_ingest_loop(&socket, &tx, &shutdown, &next_source))
+        };
+        let peer = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let deadline = Instant::now() + std::time::Duration::from_secs(10);
+        while !reader.is_finished() && Instant::now() < deadline {
+            let _ = peer.send_to(b"1 !AIVDM,1,1,,A,x,0*00\n", addr);
+            std::thread::sleep(std::time::Duration::from_millis(20));
+        }
+        let finished = reader.is_finished();
+        shutdown.store(true, Ordering::SeqCst);
+        reader.join().unwrap();
+        assert!(
+            finished,
+            "the UDP reader kept running after the driver exited"
+        );
+    }
 }

@@ -15,10 +15,12 @@
 //! is built on: **any arrival-order permutation whose timestamp
 //! displacement is at most `skew` produces byte-identical output** — the
 //! canonical `(timestamp, item)` order of the input multiset. Duplicates
-//! are preserved (the buffer keys a multiplicity map, not a set), so
+//! are preserved (the buffer is a heap of entries, not a set), so
 //! duplicate-idempotence is decided downstream, where it belongs.
 
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
+use std::collections::BinaryHeap;
 
 use maritime_obs::{names, LazyCounter, LazyGauge, LazyHistogram};
 
@@ -58,22 +60,22 @@ pub struct AdmissionStats {
 #[derive(Debug)]
 pub struct AdmissionBuffer<T> {
     skew: Duration,
-    /// Multiplicity map: identical `(timestamp, item)` pairs are counted,
-    /// not collapsed, so duplicates survive admission untouched.
-    buffered: BTreeMap<(Timestamp, T), usize>,
-    buffered_count: usize,
+    /// Min-heap on `(timestamp, item)`. Identical pairs are separate
+    /// entries, so duplicates survive admission untouched, and a released
+    /// item is moved out, never cloned. Unlike a sorted map, the heap
+    /// allocates only when its capacity grows.
+    buffered: BinaryHeap<Reverse<(Timestamp, T)>>,
     watermark: Option<Timestamp>,
     stats: AdmissionStats,
 }
 
-impl<T: Ord + Clone> AdmissionBuffer<T> {
+impl<T: Ord> AdmissionBuffer<T> {
     /// A buffer tolerating arrival displacement up to `skew`.
     #[must_use]
     pub fn new(skew: Duration) -> Self {
         Self {
             skew,
-            buffered: BTreeMap::new(),
-            buffered_count: 0,
+            buffered: BinaryHeap::new(),
             watermark: None,
             stats: AdmissionStats::default(),
         }
@@ -94,13 +96,22 @@ impl<T: Ord + Clone> AdmissionBuffer<T> {
     /// Items currently held back.
     #[must_use]
     pub fn buffered(&self) -> usize {
-        self.buffered_count
+        self.buffered.len()
     }
 
     /// Pushes one item, returning everything releasable now, in canonical
     /// order. A late item (timestamp strictly below watermark − skew) is
     /// returned immediately — out of order, by construction — and counted.
     pub fn push(&mut self, t: Timestamp, item: T) -> Vec<(Timestamp, T)> {
+        let mut out = Vec::new();
+        self.push_into(t, item, &mut out);
+        out
+    }
+
+    /// [`AdmissionBuffer::push`] into a buffer the caller owns: appends
+    /// whatever the push releases to `out`, so a caller that reuses `out`
+    /// across pushes allocates nothing per item.
+    pub fn push_into(&mut self, t: Timestamp, item: T, out: &mut Vec<(Timestamp, T)>) {
         self.stats.pushed += 1;
         if let Some(w) = self.watermark {
             if t < w - self.skew {
@@ -108,60 +119,47 @@ impl<T: Ord + Clone> AdmissionBuffer<T> {
                 self.stats.released += 1;
                 OBS_LATE.inc();
                 OBS_LAG.record(lag_ns(w, t));
-                return vec![(t, item)];
+                out.push((t, item));
+                return;
             }
         }
-        *self.buffered.entry((t, item)).or_insert(0) += 1;
-        self.buffered_count += 1;
-        self.stats.peak_buffered = self.stats.peak_buffered.max(self.buffered_count);
-        if self.watermark.is_none_or(|w| t > w) {
-            self.watermark = Some(t);
-        }
-        let out = self.release();
-        OBS_BUFFERED.set(self.buffered_count as i64);
-        out
+        self.buffered.push(Reverse((t, item)));
+        self.stats.peak_buffered = self.stats.peak_buffered.max(self.buffered.len());
+        let w = self.watermark.map_or(t, |w| w.max(t));
+        self.watermark = Some(w);
+        let bound = w - self.skew;
+        self.release_while(|t| t < bound, out);
     }
 
     /// Releases everything still buffered, in canonical order. Call at
     /// end of stream.
     pub fn flush(&mut self) -> Vec<(Timestamp, T)> {
-        let mut out = Vec::with_capacity(self.buffered_count);
-        let w = self.watermark;
-        for ((t, item), n) in std::mem::take(&mut self.buffered) {
-            for _ in 0..n {
-                if let Some(w) = w {
-                    OBS_LAG.record(lag_ns(w, t));
-                }
-                out.push((t, item.clone()));
-            }
-        }
-        self.buffered_count = 0;
-        OBS_BUFFERED.set(0);
-        self.stats.released += out.len() as u64;
+        let mut out = Vec::with_capacity(self.buffered.len());
+        self.release_while(|_| true, &mut out);
         out
     }
 
-    /// Pops every buffered entry whose timestamp has fallen behind the
-    /// watermark by more than the skew.
-    fn release(&mut self) -> Vec<(Timestamp, T)> {
+    /// Pops buffered entries in canonical order while their timestamp is
+    /// `releasable`.
+    fn release_while(
+        &mut self,
+        releasable: impl Fn(Timestamp) -> bool,
+        out: &mut Vec<(Timestamp, T)>,
+    ) {
         let Some(w) = self.watermark else {
-            return Vec::new();
+            return; // nothing was ever buffered
         };
-        let bound = w - self.skew;
-        let mut out = Vec::new();
-        while let Some(((t, _), _)) = self.buffered.first_key_value() {
-            if *t >= bound {
+        while let Some(top) = self.buffered.peek_mut() {
+            let Reverse((t, _)) = &*top;
+            if !releasable(*t) {
                 break;
             }
-            let ((t, item), n) = self.buffered.pop_first().expect("non-empty");
-            self.buffered_count -= n;
-            for _ in 0..n {
-                OBS_LAG.record(lag_ns(w, t));
-                out.push((t, item.clone()));
-            }
+            let Reverse((t, item)) = PeekMut::pop(top);
+            OBS_LAG.record(lag_ns(w, t));
+            out.push((t, item));
+            self.stats.released += 1;
         }
-        self.stats.released += out.len() as u64;
-        out
+        OBS_BUFFERED.set(self.buffered.len() as i64);
     }
 }
 

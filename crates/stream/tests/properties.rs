@@ -1,6 +1,8 @@
 //! Property-based tests for the windowing infrastructure.
 
-use maritime_stream::{Duration, SlideBatches, SlidingWindow, Timestamp, WindowSpec};
+use maritime_stream::{
+    AdmissionBuffer, AdmissionStats, Duration, SlideBatches, SlidingWindow, Timestamp, WindowSpec,
+};
 use proptest::prelude::*;
 
 fn arb_spec() -> impl Strategy<Value = WindowSpec> {
@@ -17,7 +19,74 @@ fn arb_stream() -> impl Strategy<Value = Vec<(Timestamp, u32)>> {
     })
 }
 
+/// Arrival-order streams over few timestamps and few payloads, so exact
+/// duplicates (multiplicity > 1) and items later than the skew both
+/// occur.
+fn arb_arrivals() -> impl Strategy<Value = Vec<(i64, u8)>> {
+    prop::collection::vec((0i64..60, 0u8..3), 0..120)
+}
+
+/// The admission contract written out naively: buffer everything, and
+/// after each push release, in sorted order, whatever fell more than
+/// `skew` behind the watermark; late items pass through at once.
+fn reference_admission(skew: i64, arrivals: &[(i64, u8)]) -> (Vec<(i64, u8)>, u64) {
+    let mut buffered: Vec<(i64, u8)> = Vec::new();
+    let mut out = Vec::new();
+    let mut watermark: Option<i64> = None;
+    let mut late = 0;
+    for &(t, x) in arrivals {
+        if watermark.is_some_and(|w| t < w - skew) {
+            late += 1;
+            out.push((t, x));
+            continue;
+        }
+        buffered.push((t, x));
+        let w = watermark.map_or(t, |w| w.max(t));
+        watermark = Some(w);
+        buffered.sort_unstable();
+        let n = buffered.iter().take_while(|(t, _)| *t < w - skew).count();
+        out.extend(buffered.drain(..n));
+    }
+    buffered.sort_unstable();
+    out.extend(buffered);
+    (out, late)
+}
+
 proptest! {
+    /// `push_into` appending to one caller-owned buffer releases exactly
+    /// what `push` returns call by call, with the same counters, and both
+    /// match the naive model — duplicates released with their full
+    /// multiplicity, each copy moved out once.
+    #[test]
+    fn admission_push_into_matches_push_and_the_model(
+        arrivals in arb_arrivals(), skew in 0i64..20
+    ) {
+        let mut by_push = AdmissionBuffer::new(Duration::secs(skew));
+        let mut by_push_into = AdmissionBuffer::new(Duration::secs(skew));
+        let mut pushed: Vec<(Timestamp, u8)> = Vec::new();
+        let mut appended: Vec<(Timestamp, u8)> = Vec::new();
+        for &(t, x) in &arrivals {
+            pushed.extend(by_push.push(Timestamp(t), x));
+            let before = appended.len();
+            by_push_into.push_into(Timestamp(t), x, &mut appended);
+            prop_assert_eq!(&appended[before..], &pushed[before..]);
+            prop_assert_eq!(by_push_into.stats(), by_push.stats());
+            prop_assert_eq!(by_push_into.buffered(), by_push.buffered());
+        }
+        pushed.extend(by_push.flush());
+        appended.extend(by_push_into.flush());
+        prop_assert_eq!(&appended, &pushed);
+        let stats: AdmissionStats = by_push.stats();
+        prop_assert_eq!(by_push_into.stats(), stats);
+        prop_assert_eq!(stats.pushed, arrivals.len() as u64);
+        prop_assert_eq!(stats.released, stats.pushed);
+
+        let (model, late) = reference_admission(skew, &arrivals);
+        let released: Vec<(i64, u8)> = pushed.iter().map(|(t, x)| (t.as_secs(), *x)).collect();
+        prop_assert_eq!(released, model);
+        prop_assert_eq!(stats.late, late);
+    }
+
     #[test]
     fn slide_batches_deliver_every_item_exactly_once(
         stream in arb_stream(), spec in arb_spec()
