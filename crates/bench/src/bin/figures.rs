@@ -469,7 +469,7 @@ fn sharded(w: &Workload) {
         }));
     }
     println!("{}", table.render());
-    println!("expected shape: one shard pays the channel/merge tax against serial; the
+    println!("expected shape: one shard is the serial tracker plus a canonical sort per slide; the
 critical-point count is identical everywhere (differential invariant); the
 speedup climbs with shards until per-shard batches get too small.
 ");

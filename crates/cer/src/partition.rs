@@ -181,13 +181,13 @@ pub fn recognize_partitioned(
     let mut per_partition_results: Vec<Vec<RecognitionSummary>> =
         Vec::with_capacity(partitioner.partitions());
 
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = routed_events
             .iter()
             .zip(&routed_areas)
             .map(|(band_events, band_areas)| {
                 let band_areas = band_areas.clone();
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let kb = Knowledge::new(
                         vessels.iter().copied(),
                         band_areas,
@@ -206,8 +206,7 @@ pub fn recognize_partitioned(
         for h in handles {
             per_partition_results.push(h.join().expect("partition thread panicked"));
         }
-    })
-    .expect("crossbeam scope");
+    });
 
     query_times
         .iter()

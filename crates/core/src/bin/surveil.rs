@@ -3,7 +3,7 @@
 //! ```text
 //! surveil --demo 60 24                 # simulate 60 vessels for 24 h
 //! surveil --input ais.log              # replay a timestamped NMEA log
-//! surveil --demo 60 24 --shards 4      # shard the tracker over 4 workers
+//! surveil --demo 60 24 --shards 4      # shard the tracker 4 ways by MMSI
 //! surveil --demo 60 24 --kml out.kml --archive trips.json --audit
 //! surveil --demo 60 24 --metrics-json m.json --metrics-every 12
 //! surveil --demo 60 24 --trace         # provenance chains -> ce-chains.json

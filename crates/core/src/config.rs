@@ -44,14 +44,16 @@ pub enum TraceMode {
 /// two processors; tracking shards the same way by vessel).
 ///
 /// `1` everywhere (the default) reproduces the serial pipeline exactly.
-/// Tracking shards partition the fleet by MMSI hash — equivalent to serial
-/// output up to the interleaving of independent vessels — while
-/// recognition bands partition the monitored region by longitude under
-/// the partition coordinator, which migrates vessels across boundaries
-/// and matches the serial output exactly (see `maritime_cer::coordinator`).
+/// Tracking shards partition the fleet by MMSI hash and merge each slide
+/// into one canonical order, so every shard count gives the same output,
+/// while recognition bands partition the monitored region by longitude
+/// under the partition coordinator, which migrates vessels across
+/// boundaries and matches the serial output exactly (see
+/// `maritime_cer::coordinator`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Parallelism {
-    /// Worker shards for the mobility tracker (1 = in-thread serial).
+    /// MMSI-hash shards for the mobility tracker (1 = the serial tracker
+    /// on the calling thread).
     pub tracker_shards: usize,
     /// Longitude bands for CE recognition (1 = the serial engine).
     pub recognition_bands: usize,

@@ -17,8 +17,7 @@ use maritime_modstore::{ArchiveStats, StagingArea, TrajectoryStore, TripReconstr
 use maritime_obs::flight::{self, FlightKind};
 use maritime_obs::{names, LazyCounter, LazyHistogram, SpanTimer};
 use maritime_stream::{SlideBatches, Timestamp};
-use maritime_tracker::tracker::FleetStats;
-use maritime_tracker::{CriticalPoint, ShardedTracker, SlideReport, WindowedTracker};
+use maritime_tracker::ShardedTracker;
 
 use crate::alerts::{AlertLog, AlertRecord};
 use crate::config::{ConfigError, MetricsMode, SurveillanceConfig, TraceMode};
@@ -97,8 +96,8 @@ pub struct SlideOutcome {
     pub chains: Vec<CeChain>,
     /// Phase timings.
     pub timings: PhaseTimings,
-    /// Per-shard tracking cost when the sharded backend ran this slide
-    /// (one entry per shard, `tracking` field only); empty when serial.
+    /// Per-shard tracking cost of this slide (one entry per shard,
+    /// `tracking` field only); empty for the end-of-stream flush.
     pub shard_timings: Vec<PhaseTimings>,
 }
 
@@ -123,52 +122,6 @@ pub struct RunReport {
     pub timings: PhaseTimings,
 }
 
-/// The mobility-tracking backend: in-thread serial, or MMSI-sharded
-/// across worker threads (equivalent output up to the interleaving of
-/// independent vessels — see `maritime_tracker::sharded`).
-enum TrackerBackend {
-    Serial(WindowedTracker),
-    Sharded(ShardedTracker),
-}
-
-impl TrackerBackend {
-    fn slide(
-        &mut self,
-        query_time: Timestamp,
-        batch: &[PositionTuple],
-    ) -> (SlideReport, Vec<PhaseTimings>) {
-        match self {
-            Self::Serial(wt) => (wt.slide(query_time, batch), Vec::new()),
-            Self::Sharded(st) => {
-                let report = st.slide(query_time, batch);
-                let shard_timings = report
-                    .shard_elapsed
-                    .iter()
-                    .map(|elapsed| PhaseTimings {
-                        tracking: *elapsed,
-                        ..PhaseTimings::default()
-                    })
-                    .collect();
-                (report.merged, shard_timings)
-            }
-        }
-    }
-
-    fn finish(&mut self) -> (Vec<CriticalPoint>, Vec<CriticalPoint>) {
-        match self {
-            Self::Serial(wt) => wt.finish(),
-            Self::Sharded(st) => st.finish(),
-        }
-    }
-
-    fn fleet_stats(&self) -> FleetStats {
-        match self {
-            Self::Serial(wt) => wt.tracker().stats(),
-            Self::Sharded(st) => st.stats(),
-        }
-    }
-}
-
 /// Longitude extent for uniform recognition bands: the monitored areas'
 /// centroid span, padded so border areas do not sit on a band boundary.
 /// Falls back to the full longitude range when there is nothing to span.
@@ -189,7 +142,9 @@ fn band_extent(areas: &[Area]) -> (f64, f64) {
 /// The assembled surveillance system.
 pub struct SurveillancePipeline {
     config: SurveillanceConfig,
-    tracker: TrackerBackend,
+    /// The mobility tracker, MMSI-sharded; at one shard it is the serial
+    /// windowed tracker.
+    tracker: ShardedTracker,
     /// One recognizer per longitude band (§5.2's processors); at one band
     /// it is the serial engine.
     recognizer: CoordinatedRecognizer,
@@ -220,15 +175,11 @@ impl SurveillancePipeline {
         // Global switch: every counter/gauge/histogram/span in the
         // workspace becomes a no-op under `MetricsMode::Off`.
         maritime_obs::set_enabled(config.metrics == MetricsMode::On);
-        let tracker = if config.parallelism.tracker_shards > 1 {
-            TrackerBackend::Sharded(ShardedTracker::new(
-                config.tracker,
-                config.tracking_window,
-                config.parallelism.tracker_shards,
-            ))
-        } else {
-            TrackerBackend::Serial(WindowedTracker::new(config.tracker, config.tracking_window))
-        };
+        let tracker = ShardedTracker::new(
+            config.tracker,
+            config.tracking_window,
+            config.parallelism.tracker_shards,
+        );
         let strategy = if config.incremental_recognition {
             EvalStrategy::Incremental
         } else {
@@ -367,12 +318,20 @@ impl SurveillancePipeline {
             index.index_batch(batch);
         }
 
-        // Phase 1: online tracking (fanned out per shard when sharded;
-        // `tracking` then measures the fan-out/merge wall time and
-        // `shard_timings` the per-worker cost).
+        // Phase 1: online tracking. `tracking` measures the whole
+        // fan-out/merge wall time, `shard_timings` each shard's own cost.
         let span = SpanTimer::stage("track", OBS_TRACKING_NS.get_ref());
-        let (report, shard_timings) = self.tracker.slide(query_time, batch);
+        let sharded = self.tracker.slide(query_time, batch);
         timings.tracking = span.stop();
+        let report = sharded.merged;
+        let shard_timings = sharded
+            .shard_elapsed
+            .into_iter()
+            .map(|tracking| PhaseTimings {
+                tracking,
+                ..PhaseTimings::default()
+            })
+            .collect();
 
         // Feed fresh critical points to the recognizer (with spatial facts
         // attached when running in precomputed mode).
@@ -508,7 +467,7 @@ impl SurveillancePipeline {
         ce_total += final_outcome.recognition.as_ref().map_or(0, |s| s.ce_count);
         timings = timings.combined(final_outcome.timings);
 
-        let stats = self.tracker.fleet_stats();
+        let stats = self.tracker.stats();
         RunReport {
             slides,
             raw_positions: stats.raw,
@@ -695,33 +654,73 @@ mod tests {
     }
 
     #[test]
+    fn recognizer_checkpoint_is_identical_at_every_shard_count() {
+        // The tracker hands the recognizer each slide's critical points in
+        // one canonical order whatever the shard count, so the recognizer
+        // state — and hence its checkpoint — cannot depend on sharding.
+        let sim = FleetSimulator::new(FleetConfig {
+            vessels: 40,
+            duration: maritime_stream::Duration::hours(12),
+            ..FleetConfig::tiny(11)
+        });
+        let areas = generate_areas(&AreaGenConfig::default());
+        let vessels: Vec<VesselInfo> = sim.profiles().iter().map(VesselInfo::from).collect();
+        let checkpoint = |shards: usize| {
+            let config = SurveillanceConfig {
+                parallelism: crate::config::Parallelism {
+                    tracker_shards: shards,
+                    recognition_bands: 1,
+                },
+                incremental_recognition: true,
+                ..SurveillanceConfig::default()
+            };
+            let mut pipeline =
+                SurveillancePipeline::new(&config, vessels.clone(), areas.clone()).unwrap();
+            pipeline.run(sim.generate().into_iter().map(PositionTuple::from));
+            pipeline.checkpoint_recognizer()
+        };
+        let one = checkpoint(1);
+        assert!(!one.is_empty());
+        for shards in [2, 4] {
+            assert!(
+                checkpoint(shards) == one,
+                "recognizer checkpoint at {shards} shards differs from 1 shard"
+            );
+        }
+    }
+
+    #[test]
     fn sharded_slides_report_per_shard_timings() {
         let sim = FleetSimulator::new(FleetConfig::tiny(10));
         let areas = generate_areas(&AreaGenConfig::default());
         let vessels: Vec<VesselInfo> = sim.profiles().iter().map(VesselInfo::from).collect();
-        let config = SurveillanceConfig {
-            parallelism: crate::config::Parallelism {
-                tracker_shards: 3,
-                recognition_bands: 2,
-            },
-            ..SurveillanceConfig::default()
-        };
-        let mut pipeline = SurveillancePipeline::new(&config, vessels, areas).unwrap();
         let stream: Vec<PositionTuple> =
             sim.generate().into_iter().map(PositionTuple::from).collect();
-        let batches = SlideBatches::new(
-            stream.into_iter().map(|t| (t.timestamp, t)),
-            config.tracking_window,
-            Timestamp::ZERO,
-        );
-        let mut saw_slide = false;
-        for batch in batches {
-            let tuples: Vec<PositionTuple> = batch.items.into_iter().map(|(_, t)| t).collect();
-            let outcome = pipeline.slide(batch.query_time, &tuples);
-            assert_eq!(outcome.shard_timings.len(), 3);
-            saw_slide = true;
+        for shards in [1, 3] {
+            let config = SurveillanceConfig {
+                parallelism: crate::config::Parallelism {
+                    tracker_shards: shards,
+                    recognition_bands: 2,
+                },
+                ..SurveillanceConfig::default()
+            };
+            let mut pipeline =
+                SurveillancePipeline::new(&config, vessels.clone(), areas.clone()).unwrap();
+            let batches = SlideBatches::new(
+                stream.iter().map(|t| (t.timestamp, *t)),
+                config.tracking_window,
+                Timestamp::ZERO,
+            );
+            let mut saw_slide = false;
+            for batch in batches {
+                let tuples: Vec<PositionTuple> =
+                    batch.items.into_iter().map(|(_, t)| t).collect();
+                let outcome = pipeline.slide(batch.query_time, &tuples);
+                assert_eq!(outcome.shard_timings.len(), shards);
+                saw_slide = true;
+            }
+            assert!(saw_slide);
         }
-        assert!(saw_slide);
     }
 
     #[test]

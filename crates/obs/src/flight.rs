@@ -1,13 +1,13 @@
 //! Crash-dump flight recorder.
 //!
 //! A fixed-capacity ring buffer of recent structured trace events —
-//! decode errors, shard backpressure stalls, window slides, recognition
-//! deadline overruns — kept continuously so that *when* something goes
-//! wrong the last N interesting things the pipeline did are already in
-//! memory, like an aircraft flight recorder. The ring dumps to JSON:
+//! decode errors, window slides, recognition deadline overruns — kept
+//! continuously so that *when* something goes wrong the last N
+//! interesting things the pipeline did are already in memory, like an
+//! aircraft flight recorder. The ring dumps to JSON:
 //!
 //! * on an anomaly trigger ([`trigger_dump`]): recognition deadline
-//!   overrun, channel-full stall, or panic (see [`install_panic_hook`]),
+//!   overrun, chaos-oracle violation, or panic (see [`install_panic_hook`]),
 //!   writing to the path registered with [`arm_dump`];
 //! * on demand ([`dump_to`]): `surveil --flight-dump <path>`.
 //!
@@ -37,8 +37,6 @@ pub const DEFAULT_CAPACITY: usize = 1024;
 pub enum FlightKind {
     /// An AIS sentence failed to decode (malformed, bad checksum, …).
     DecodeError,
-    /// A feeder blocked on a full bounded shard channel.
-    Backpressure,
     /// A sliding-window advance (normal, but invaluable context).
     WindowSlide,
     /// A recognition query exceeded the configured deadline.
@@ -55,7 +53,6 @@ impl FlightKind {
     pub fn as_str(self) -> &'static str {
         match self {
             FlightKind::DecodeError => "decode_error",
-            FlightKind::Backpressure => "backpressure",
             FlightKind::WindowSlide => "window_slide",
             FlightKind::RecognitionOverrun => "recognition_overrun",
             FlightKind::Panic => "panic",
@@ -196,8 +193,8 @@ pub fn arm_dump(path: impl Into<PathBuf>) {
 }
 
 /// Dumps the global recorder to the armed path, if any. Returns the path
-/// written. Called from anomaly sites (deadline overrun, channel-full
-/// stall, panic hook); IO errors are reported on stderr, never panicked
+/// written. Called from anomaly sites (deadline overrun, chaos-oracle
+/// violation, panic hook); IO errors are reported on stderr, never panicked
 /// on — the recorder must stay harmless at its moment of glory.
 pub fn trigger_dump(reason: &str) -> Option<PathBuf> {
     let path = ARMED.lock().expect("flight arm lock poisoned").clone()?;

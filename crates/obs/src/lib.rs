@@ -21,7 +21,7 @@
 //!   metrics off pays only a predicted branch per would-be update;
 //! * a crash-dump [`flight`] recorder — a fixed-capacity ring of recent
 //!   structured trace events that dumps to JSON on anomaly triggers
-//!   (deadline overrun, channel-full stall, panic) or on demand;
+//!   (deadline overrun, chaos-oracle violation, panic) or on demand;
 //! * a [`chrome`] Trace Event timeline — named spans double as Perfetto
 //!   slices when the collector is installed, at no extra clock reads.
 //!

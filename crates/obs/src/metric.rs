@@ -5,7 +5,7 @@
 //! are statistical observations, not synchronization points — a snapshot
 //! taken concurrently with updates may miss in-flight increments but
 //! never tears or double-counts, so sums over disjoint writers (e.g. the
-//! MMSI-sharded tracker workers) are exact once the writers are joined.
+//! MMSI-sharded tracker threads) are exact once the writers are joined.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 

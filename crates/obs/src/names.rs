@@ -55,10 +55,6 @@ pub const TRACKER_SLIDE_NS: &str = "tracker_slide_ns";
 
 /// Per-shard batches routed by the MMSI-hash router.
 pub const SHARD_BATCHES_ROUTED: &str = "shard_batches_routed_total";
-/// Slide/finish commands sent to shard workers but not yet completed.
-pub const SHARD_COMMANDS_INFLIGHT: &str = "shard_commands_inflight";
-/// Time the feeder spent blocked sending into a shard's bounded channel.
-pub const SHARD_SEND_WAIT_NS: &str = "shard_send_wait_ns";
 /// Largest-minus-smallest routed batch size in the most recent slide.
 pub const SHARD_BATCH_IMBALANCE: &str = "shard_batch_imbalance";
 
@@ -350,8 +346,6 @@ pub const CATALOG: &[Descriptor] = &[
     h(TRACKER_SLIDE_NS, "ns", "Wall time per tracker window slide"),
     // Sharded tracker
     c(SHARD_BATCHES_ROUTED, "batches", "Per-shard batches routed by the MMSI-hash router"),
-    g(SHARD_COMMANDS_INFLIGHT, "commands", "Shard commands sent but not yet completed"),
-    h(SHARD_SEND_WAIT_NS, "ns", "Feeder blocking time on bounded shard channels"),
     g(SHARD_BATCH_IMBALANCE, "points", "Max-minus-min routed batch size, latest slide"),
     // Stream windowing
     c(STREAM_WINDOW_SLIDES, "slides", "Window slide operations across sliding windows"),

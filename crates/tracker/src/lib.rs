@@ -19,7 +19,7 @@
 //! * [`tracker`] — the fleet-level *Mobility Tracker* of Figure 1;
 //! * [`window`] — windowed operation: per-slide batches, "delta" critical
 //!   point eviction toward the staging area;
-//! * [`sharded`] — MMSI-sharded parallel operation across worker threads,
+//! * [`sharded`] — MMSI-sharded parallel operation on scoped threads,
 //!   differentially equivalent to the serial tracker;
 //! * [`compression`] — compression-ratio accounting (Figure 9);
 //! * [`accuracy`] — synchronized RMSE of reconstructed trajectories

@@ -3,29 +3,26 @@
 //! The mobility tracker keeps *per-vessel* state machines with no
 //! cross-vessel interaction (§3: every critical point is derived from one
 //! vessel's own fixes), so the fleet partitions cleanly: hash each MMSI to
-//! one of `n` worker shards and give every shard its own
-//! [`WindowedTracker`]. Each slide fans the positional batch out to the
-//! owning shards over bounded channels (backpressure: a slow shard stalls
-//! the feeder rather than letting queues grow without bound), runs the
-//! shards concurrently, and merges the per-shard critical points, evicted
-//! deltas, and synopsis statistics back into a single slide-ordered
-//! report.
+//! one of `n` shards and give every shard its own [`WindowedTracker`].
+//! One shard is the serial tracker run on the calling thread. With more,
+//! each slide routes the positional batch to the owning shards, runs them
+//! on scoped threads (the last on the caller), and merges the per-shard
+//! critical points, evicted deltas, and synopsis statistics back into a
+//! single report.
 //!
 //! **Equivalence invariant.** A vessel's tuples always reach the same
 //! shard, in stream order, so its critical-point subsequence is *bit
 //! identical* to the serial tracker's. Whole-fleet outputs differ only in
-//! the interleaving of independent vessels; after [`canonical_order`]
-//! (stable sort by `(timestamp, mmsi)`) the serial and sharded streams
-//! are equal element-for-element. The differential harness in
+//! the interleaving of independent vessels, which [`canonical_order`]
+//! (stable sort by `(timestamp, mmsi)`) removes: every report is in that
+//! order, at every shard count, so downstream consumers see the same
+//! stream whatever the shard count. The differential harness in
 //! `tests/sharded_equivalence.rs` enforces exactly this.
 
-use std::thread::JoinHandle;
 use std::time::{Duration as StdDuration, Instant};
 
-use crossbeam::channel::{bounded, Receiver, Sender};
 use maritime_ais::PositionTuple;
-use maritime_obs::flight::{self, FlightKind};
-use maritime_obs::{names, LazyCounter, LazyGauge, LazyHistogram};
+use maritime_obs::{names, LazyCounter, LazyGauge};
 use maritime_stream::{ShardRouter, Timestamp, WindowSpec};
 
 use crate::events::CriticalPoint;
@@ -33,53 +30,18 @@ use crate::params::TrackerParams;
 use crate::tracker::FleetStats;
 use crate::window::{SlideReport, WindowedTracker};
 
-/// In-flight slides a shard may buffer before the feeder blocks.
-const COMMAND_BACKLOG: usize = 2;
-
-/// Backpressure and balance metrics for the sharded backend (see
-/// `OBSERVABILITY.md`). The vendored channel exposes no queue length, so
-/// depth is observed from the outside: commands in flight (sent minus
-/// answered) and how long the feeder blocked on a full channel.
+/// Balance metrics for the sharded tracker (see `OBSERVABILITY.md`);
+/// zero at one shard, where nothing is routed.
 static OBS_BATCHES_ROUTED: LazyCounter = LazyCounter::new(names::SHARD_BATCHES_ROUTED);
-static OBS_INFLIGHT: LazyGauge = LazyGauge::new(names::SHARD_COMMANDS_INFLIGHT);
-static OBS_SEND_WAIT: LazyHistogram = LazyHistogram::new(names::SHARD_SEND_WAIT_NS);
 static OBS_IMBALANCE: LazyGauge = LazyGauge::new(names::SHARD_BATCH_IMBALANCE);
 
 /// Orders critical points canonically: stable sort by `(timestamp, mmsi)`.
 ///
-/// Both the serial tracker and every shard emit each vessel's points in
-/// per-vessel time order, so a *stable* sort on this key maps the serial
-/// and merged-sharded streams to the same sequence — the ordering under
-/// which differential tests compare them.
+/// Every shard emits each vessel's points in per-vessel time order, so a
+/// *stable* sort on this key maps any shard count's merged stream to the
+/// same sequence.
 pub fn canonical_order(points: &mut [CriticalPoint]) {
     points.sort_by_key(|cp| (cp.timestamp, cp.mmsi.0));
-}
-
-/// Commands accepted by a shard worker.
-#[derive(Debug)]
-enum ShardCmd {
-    /// Run one window slide over the shard's routed tuples.
-    Slide {
-        query_time: Timestamp,
-        tuples: Vec<PositionTuple>,
-    },
-    /// End of stream: flush open states and drain the window.
-    Finish,
-    /// Report fleet statistics for the shard's vessels.
-    Stats,
-}
-
-/// Replies produced by a shard worker, in command order.
-enum ShardReply {
-    Slide {
-        report: SlideReport,
-        elapsed: StdDuration,
-    },
-    Finish {
-        final_critical: Vec<CriticalPoint>,
-        residual: Vec<CriticalPoint>,
-    },
-    Stats(FleetStats),
 }
 
 /// What one sharded slide produced: the merged [`SlideReport`] plus the
@@ -92,64 +54,20 @@ pub struct ShardedSlideReport {
     pub shard_elapsed: Vec<StdDuration>,
 }
 
-struct ShardHandle {
-    /// `None` only during shutdown (dropping the sender closes the loop).
-    cmd_tx: Option<Sender<ShardCmd>>,
-    reply_rx: Receiver<ShardReply>,
-    join: Option<JoinHandle<()>>,
-}
-
-/// Send waits above this are treated as channel-full stalls and land in
-/// the flight recorder: an unblocked send returns in nanoseconds, so a
-/// millisecond-scale wait means the shard fell a full backlog behind.
-const STALL_THRESHOLD: StdDuration = StdDuration::from_millis(1);
-
-impl ShardHandle {
-    fn send(&self, cmd: ShardCmd) {
-        let t0 = Instant::now();
-        self.cmd_tx
-            .as_ref()
-            .expect("tracker live")
-            .send(cmd)
-            .expect("shard worker alive");
-        let waited = t0.elapsed();
-        OBS_SEND_WAIT.record(u64::try_from(waited.as_nanos()).unwrap_or(u64::MAX));
-        if waited >= STALL_THRESHOLD {
-            flight::record(FlightKind::Backpressure, || {
-                format!("shard send stalled {}us on full channel", waited.as_micros())
-            });
-        }
-        OBS_INFLIGHT.add(1);
-    }
-
-    fn recv(&self) -> ShardReply {
-        let reply = self.reply_rx.recv().expect("shard worker alive");
-        OBS_INFLIGHT.add(-1);
-        reply
-    }
-}
-
-/// A fleet tracker sharded across `n` worker threads by MMSI hash.
+/// The fleet tracker, sharded by MMSI hash across `n ≥ 1`
+/// [`WindowedTracker`]s.
 ///
-/// Mirrors the [`WindowedTracker`] API (`slide`, `finish`, stats) so the
-/// pipeline can swap backends behind a configuration knob. Workers are
-/// persistent OS threads, spawned once and fed over bounded channels;
-/// dropping the tracker shuts them down.
+/// Mirrors the [`WindowedTracker`] API (`slide`, `finish`, stats). Shards
+/// are plain values: a slide borrows them into scoped threads, so no
+/// thread outlives the call.
+#[derive(Debug)]
 pub struct ShardedTracker {
     router: ShardRouter,
-    shards: Vec<ShardHandle>,
-}
-
-impl std::fmt::Debug for ShardedTracker {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedTracker")
-            .field("shards", &self.shards.len())
-            .finish()
-    }
+    shards: Vec<WindowedTracker>,
 }
 
 impl ShardedTracker {
-    /// Creates a sharded tracker with `shards ≥ 1` workers, each owning a
+    /// Creates a sharded tracker with `shards ≥ 1` shards, each a
     /// [`WindowedTracker`] built from the same parameters and window.
     ///
     /// # Panics
@@ -157,27 +75,15 @@ impl ShardedTracker {
     #[must_use]
     pub fn new(params: TrackerParams, spec: WindowSpec, shards: usize) -> Self {
         assert!(shards >= 1, "a sharded tracker needs at least one shard");
-        let handles = (0..shards)
-            .map(|_| {
-                let (cmd_tx, cmd_rx) = bounded::<ShardCmd>(COMMAND_BACKLOG);
-                let (reply_tx, reply_rx) = bounded::<ShardReply>(COMMAND_BACKLOG);
-                let join = std::thread::spawn(move || {
-                    shard_worker(params, spec, &cmd_rx, &reply_tx);
-                });
-                ShardHandle {
-                    cmd_tx: Some(cmd_tx),
-                    reply_rx,
-                    join: Some(join),
-                }
-            })
-            .collect();
         Self {
             router: ShardRouter::new(shards),
-            shards: handles,
+            shards: (0..shards)
+                .map(|_| WindowedTracker::new(params, spec))
+                .collect(),
         }
     }
 
-    /// Number of worker shards.
+    /// Number of shards.
     #[must_use]
     pub fn shards(&self) -> usize {
         self.shards.len()
@@ -192,39 +98,52 @@ impl ShardedTracker {
     /// Processes one slide: routes the batch to the owning shards,
     /// advances *every* shard's window to `query_time` (a shard with no
     /// fresh tuples must still evict and sweep communication gaps), and
-    /// merges the per-shard reports canonically.
+    /// merges the per-shard reports canonically. One shard takes the
+    /// caller's batch as is, on the calling thread.
     pub fn slide(&mut self, query_time: Timestamp, batch: &[PositionTuple]) -> ShardedSlideReport {
-        let mut routed: Vec<Vec<PositionTuple>> = vec![Vec::new(); self.shards.len()];
-        for tuple in batch {
-            routed[self.router.route(u64::from(tuple.mmsi.0))].push(*tuple);
-        }
-        let largest = routed.iter().map(Vec::len).max().unwrap_or(0);
-        let smallest = routed.iter().map(Vec::len).min().unwrap_or(0);
-        OBS_IMBALANCE.set((largest - smallest) as i64);
-        OBS_BATCHES_ROUTED.add(self.shards.len() as u64);
-        for (shard, tuples) in self.shards.iter().zip(routed) {
-            shard.send(ShardCmd::Slide { query_time, tuples });
-        }
-
-        let mut merged = SlideReport {
-            query_time,
-            admitted: 0,
-            fresh_critical: Vec::new(),
-            evicted_delta: Vec::new(),
-            window_size: 0,
+        let timed = |shard: &mut WindowedTracker, tuples: &[PositionTuple]| {
+            let t0 = Instant::now();
+            let report = shard.slide(query_time, tuples);
+            (report, t0.elapsed())
         };
-        let mut shard_elapsed = Vec::with_capacity(self.shards.len());
-        for shard in &self.shards {
-            match shard.recv() {
-                ShardReply::Slide { report, elapsed } => {
-                    merged.admitted += report.admitted;
-                    merged.window_size += report.window_size;
-                    merged.fresh_critical.extend(report.fresh_critical);
-                    merged.evicted_delta.extend(report.evicted_delta);
-                    shard_elapsed.push(elapsed);
+        let reports: Vec<(SlideReport, StdDuration)> = match self.shards.as_mut_slice() {
+            [only] => vec![timed(only, batch)],
+            shards => {
+                let mut routed: Vec<Vec<PositionTuple>> = vec![Vec::new(); shards.len()];
+                for tuple in batch {
+                    routed[self.router.route(u64::from(tuple.mmsi.0))].push(*tuple);
                 }
-                _ => unreachable!("replies arrive in command order"),
+                let largest = routed.iter().map(Vec::len).max().unwrap_or(0);
+                let smallest = routed.iter().map(Vec::len).min().unwrap_or(0);
+                OBS_IMBALANCE.set((largest - smallest) as i64);
+                OBS_BATCHES_ROUTED.add(shards.len() as u64);
+                let (last, others) = shards.split_last_mut().expect("at least one shard");
+                let (last_tuples, other_tuples) = routed.split_last().expect("one batch a shard");
+                std::thread::scope(|scope| {
+                    let handles: Vec<_> = others
+                        .iter_mut()
+                        .zip(other_tuples)
+                        .map(|(shard, tuples)| scope.spawn(move || timed(shard, tuples)))
+                        .collect();
+                    let last = timed(last, last_tuples);
+                    handles
+                        .into_iter()
+                        .map(|h| h.join().expect("shard thread panicked"))
+                        .chain([last])
+                        .collect()
+                })
             }
+        };
+
+        let mut reports = reports.into_iter();
+        let (mut merged, first_elapsed) = reports.next().expect("at least one shard");
+        let mut shard_elapsed = vec![first_elapsed];
+        for (report, elapsed) in reports {
+            merged.admitted += report.admitted;
+            merged.window_size += report.window_size;
+            merged.fresh_critical.extend(report.fresh_critical);
+            merged.evicted_delta.extend(report.evicted_delta);
+            shard_elapsed.push(elapsed);
         }
         canonical_order(&mut merged.fresh_critical);
         canonical_order(&mut merged.evicted_delta);
@@ -238,22 +157,12 @@ impl ShardedTracker {
     /// Returns `(final critical points, remaining window contents)`, the
     /// same shape as [`WindowedTracker::finish`].
     pub fn finish(&mut self) -> (Vec<CriticalPoint>, Vec<CriticalPoint>) {
-        for shard in &self.shards {
-            shard.send(ShardCmd::Finish);
-        }
         let mut final_critical = Vec::new();
         let mut residual = Vec::new();
-        for shard in &self.shards {
-            match shard.recv() {
-                ShardReply::Finish {
-                    final_critical: f,
-                    residual: r,
-                } => {
-                    final_critical.extend(f);
-                    residual.extend(r);
-                }
-                _ => unreachable!("replies arrive in command order"),
-            }
+        for shard in &mut self.shards {
+            let (f, r) = shard.finish();
+            final_critical.extend(f);
+            residual.extend(r);
         }
         canonical_order(&mut final_critical);
         canonical_order(&mut residual);
@@ -265,72 +174,15 @@ impl ShardedTracker {
     /// exact, not estimates.
     #[must_use]
     pub fn stats(&self) -> FleetStats {
-        for shard in &self.shards {
-            shard.send(ShardCmd::Stats);
-        }
         let mut total = FleetStats::default();
-        for shard in &self.shards {
-            match shard.recv() {
-                ShardReply::Stats(s) => {
-                    total.vessels += s.vessels;
-                    total.raw += s.raw;
-                    total.critical += s.critical;
-                    total.outliers += s.outliers;
-                    total.stale += s.stale;
-                }
-                _ => unreachable!("replies arrive in command order"),
-            }
+        for s in self.shards.iter().map(|shard| shard.tracker().stats()) {
+            total.vessels += s.vessels;
+            total.raw += s.raw;
+            total.critical += s.critical;
+            total.outliers += s.outliers;
+            total.stale += s.stale;
         }
         total
-    }
-
-}
-
-impl Drop for ShardedTracker {
-    fn drop(&mut self) {
-        // Closing every command channel ends the workers' receive loops.
-        for shard in &mut self.shards {
-            shard.cmd_tx.take();
-        }
-        for shard in &mut self.shards {
-            if let Some(join) = shard.join.take() {
-                let _ = join.join();
-            }
-        }
-    }
-}
-
-/// A shard worker's command loop: owns one [`WindowedTracker`] for the
-/// vessels routed to it and answers each command with exactly one reply.
-fn shard_worker(
-    params: TrackerParams,
-    spec: WindowSpec,
-    cmd_rx: &Receiver<ShardCmd>,
-    reply_tx: &Sender<ShardReply>,
-) {
-    let mut tracker = WindowedTracker::new(params, spec);
-    while let Ok(cmd) = cmd_rx.recv() {
-        let reply = match cmd {
-            ShardCmd::Slide { query_time, tuples } => {
-                let t0 = Instant::now();
-                let report = tracker.slide(query_time, &tuples);
-                ShardReply::Slide {
-                    report,
-                    elapsed: t0.elapsed(),
-                }
-            }
-            ShardCmd::Finish => {
-                let (final_critical, residual) = tracker.finish();
-                ShardReply::Finish {
-                    final_critical,
-                    residual,
-                }
-            }
-            ShardCmd::Stats => ShardReply::Stats(tracker.tracker().stats()),
-        };
-        if reply_tx.send(reply).is_err() {
-            break;
-        }
     }
 }
 
@@ -427,11 +279,5 @@ mod tests {
         let (sharded_fresh, sharded_evicted, _) = run_sharded(stream, w, 4);
         assert_eq!(serial_fresh, sharded_fresh);
         assert_eq!(serial_evicted, sharded_evicted);
-    }
-
-    #[test]
-    fn drop_shuts_workers_down() {
-        let st = ShardedTracker::new(TrackerParams::default(), spec(1, 30), 3);
-        drop(st); // must not hang or panic
     }
 }

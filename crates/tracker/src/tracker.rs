@@ -51,7 +51,7 @@ impl Hasher for MmsiHasher {
 pub type MmsiHashBuilder = BuildHasherDefault<MmsiHasher>;
 
 /// Global tracking metrics (see `OBSERVABILITY.md`). Counters sum exactly
-/// across the MMSI-sharded workers because shards partition the fleet.
+/// across MMSI shards because shards partition the fleet.
 static OBS_INGESTED: LazyCounter = LazyCounter::new(names::TRACKER_POINTS_INGESTED);
 static OBS_CRITICAL: LazyCounter = LazyCounter::new(names::TRACKER_CRITICAL_POINTS);
 

@@ -15,9 +15,9 @@ use crate::events::CriticalPoint;
 use crate::params::TrackerParams;
 use crate::tracker::MobilityTracker;
 
-/// Windowed-tracking metrics (see `OBSERVABILITY.md`). The gauges report
-/// per-tracker levels; under sharding each shard overwrites them in turn,
-/// so they read as "one shard's level" — the counters sum exactly.
+/// Windowed-tracking metrics (see `OBSERVABILITY.md`). Each instance
+/// publishes its gauge levels as deltas, so under sharding the gauges sum
+/// across shards to the serial level, as the counters do.
 static OBS_EVICTED: LazyCounter = LazyCounter::new(names::TRACKER_EVICTED_POINTS);
 static OBS_WINDOW_POINTS: LazyGauge = LazyGauge::new(names::TRACKER_WINDOW_POINTS);
 static OBS_ACTIVE_VESSELS: LazyGauge = LazyGauge::new(names::TRACKER_ACTIVE_VESSELS);
